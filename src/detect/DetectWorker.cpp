@@ -6,8 +6,6 @@
 
 #include "detect/DetectWorker.h"
 
-#include "obs/Log.h"
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
 #include "support/Bundle.h"
 #include "support/FaultInjection.h"
@@ -34,9 +32,6 @@ void detectworker::encodeDetectOptions(wire::RecordWriter &W,
         static_cast<uint64_t>(Options.Explore.MaxPreemptions));
   W.addDouble("explore_wall_budget", Options.Explore.WallBudgetSeconds);
   W.add("witness_dir", Options.WitnessDir);
-  W.add("step_limit_retries",
-        static_cast<uint64_t>(Options.StepLimitRetries));
-  W.add("step_budget_escalation", Options.StepBudgetEscalation);
   W.addDouble("wall_budget_seconds", Options.WallBudgetSeconds);
 }
 
@@ -58,9 +53,6 @@ Result<DetectOptions> detectworker::decodeDetectOptions(
       static_cast<unsigned>(In.getU64("explore_max_preemptions", 2));
   O.Explore.WallBudgetSeconds = In.getDouble("explore_wall_budget", 0.0);
   O.WitnessDir = In.getOr("witness_dir", "");
-  O.StepLimitRetries =
-      static_cast<unsigned>(In.getU64("step_limit_retries", 2));
-  O.StepBudgetEscalation = In.getU64("step_budget_escalation", 4);
   O.WallBudgetSeconds = In.getDouble("wall_budget_seconds", 0.0);
   return O;
 }
@@ -265,15 +257,11 @@ void Service::runUnit(const wire::RecordReader &Request,
   } catch (...) {
     // The in-process containment barrier, replayed worker-side so the
     // quarantine counters ship with this unit's metrics delta.
-    TestDetectionResult Q;
-    Q.Quarantined = true;
-    Q.QuarantineReason =
-        "internal fault: " + describeException(std::current_exception());
-    obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-    Metrics.counter("detect.quarantined").inc();
-    Metrics.counter("detect.internal_faults").inc();
-    NARADA_LOG_WARN("quarantined test %s: %s", TestName.c_str(),
-                    Q.QuarantineReason.c_str());
-    encodeDetectResult(Reply, Q);
+    encodeDetectResult(
+        Reply, quarantinedResult(TestName,
+                                 "internal fault: " +
+                                     describeException(
+                                         std::current_exception()),
+                                 "detect.internal_faults"));
   }
 }

@@ -124,6 +124,35 @@ private:
   uint64_t Hash = 0xcbf29ce484222325ULL;
 };
 
+/// The passive phase-1 detectors: happens-before and lockset, each attached
+/// to the observer only when its option is on.  Built fresh per execution.
+class DetectorSet {
+public:
+  explicit DetectorSet(const DetectOptions &Options) {
+    if (Options.UseHB)
+      Mux.add(&HB);
+    if (Options.UseLockSet)
+      Mux.add(&LockSet);
+  }
+  DetectorSet(const DetectorSet &) = delete; // Mux points into this object.
+  DetectorSet &operator=(const DetectorSet &) = delete;
+
+  ExecutionObserver *observer() { return &Mux; }
+
+  /// Calls \p F on every race either detector reported, HB first.
+  template <typename Fn> void forEachRace(Fn &&F) const {
+    for (const RaceReport &R : HB.races())
+      F(R);
+    for (const RaceReport &R : LockSet.races())
+      F(R);
+  }
+
+private:
+  HBDetector HB;
+  LockSetDetector LockSet;
+  ObserverMux Mux;
+};
+
 /// One confirmation execution; returns the policy (confirmed or not) plus
 /// the run outcome.
 struct ConfirmRun {
@@ -133,7 +162,7 @@ struct ConfirmRun {
   uint64_t ObservedHash = 0; ///< Values seen at the racy accesses.
   bool Faulted = false;
   bool Deadlocked = false;
-  bool HitStepLimit = false; ///< Ran into its step budget (see retries).
+  bool HitStepLimit = false; ///< Ran into its step budget.
 };
 
 Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
@@ -146,7 +175,7 @@ Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
   fault::probe("detect.confirm");
   if (fault::timeoutProbe("detect.confirm.steps")) {
     // Simulated watchdog expiry: report a step-limited, unconfirmed run
-    // without executing, so tests can drive the retry/quarantine path.
+    // without executing, so tests can drive the quarantine path.
     ConfirmRun Out;
     Out.HitStepLimit = true;
     return Out;
@@ -169,52 +198,22 @@ Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
   return Out;
 }
 
-/// The escalated step budget for retry \p Try (0 = first attempt).
-uint64_t escalatedBudget(const DetectOptions &Options, unsigned Try) {
-  uint64_t Budget = Options.MaxSteps;
-  uint64_t Factor =
-      Options.StepBudgetEscalation < 2 ? 2 : Options.StepBudgetEscalation;
-  for (unsigned I = 0; I < Try; ++I)
-    Budget *= Factor;
-  return Budget;
+/// Latches that some run of the test hit its step ceiling, and counts it.
+void noteStepLimit(TestDetectionResult &Out) {
+  Out.SawStepLimit = true;
+  obs::MetricsRegistry::global().counter("detect.step_limit_runs").inc();
 }
 
-/// runConfirm with the watchdog-retry protocol: a step-limited run is
-/// retried under an escalating budget up to Options.StepLimitRetries
-/// times.  The returned run still has HitStepLimit set when even the last
-/// budget was exhausted — the caller quarantines then.  \p SawStepLimit is
-/// latched when any attempt (retried or not) hit its ceiling.
-Result<ConfirmRun>
-runConfirmWithRetry(const IRModule &M, const std::string &TestName,
-                    const std::string &LabelA, const std::string &LabelB,
-                    uint64_t Seed, bool SecondFirst,
-                    const DetectOptions &Options, bool &SawStepLimit) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  for (unsigned Try = 0;; ++Try) {
-    Result<ConfirmRun> Run =
-        runConfirm(M, TestName, LabelA, LabelB, Seed, SecondFirst,
-                   escalatedBudget(Options, Try));
-    if (!Run)
-      return Run;
-    if (!Run->HitStepLimit)
-      return Run;
-    SawStepLimit = true;
-    Metrics.counter("detect.step_limit_runs").inc();
-    if (Try >= Options.StepLimitRetries)
-      return Run; // Budget exhausted even after every escalation.
-    Metrics.counter("detect.retries").inc();
-    NARADA_LOG_DEBUG("confirm run of %s hit step budget %llu, retrying "
-                     "with x%llu budget",
-                     TestName.c_str(),
-                     static_cast<unsigned long long>(
-                         escalatedBudget(Options, Try)),
-                     static_cast<unsigned long long>(
-                         Options.StepBudgetEscalation));
-  }
+/// Latches one phase-1 run's outcome flags into \p Out.
+void latchOutcome(TestDetectionResult &Out, const RunResult &Run) {
+  Out.SawFault = Out.SawFault || Run.Faulted;
+  Out.SawDeadlock = Out.SawDeadlock || Run.Deadlocked;
+  if (Run.HitStepLimit)
+    noteStepLimit(Out);
 }
 
 /// Marks \p Out quarantined with \p Reason (first reason wins) and counts
-/// it; detection results gathered so far stay attached.
+/// it.  Results already in \p Out stay attached.
 void quarantine(TestDetectionResult &Out, const std::string &TestName,
                 std::string Reason) {
   if (Out.Quarantined)
@@ -227,6 +226,15 @@ void quarantine(TestDetectionResult &Out, const std::string &TestName,
 }
 
 } // namespace
+
+TestDetectionResult narada::quarantinedResult(const std::string &TestName,
+                                              std::string Reason,
+                                              const char *CauseCounter) {
+  TestDetectionResult Q;
+  quarantine(Q, TestName, std::move(Reason));
+  obs::MetricsRegistry::global().counter(CauseCounter).inc();
+  return Q;
+}
 
 Result<TestDetectionResult> narada::detectRacesInTest(
     const IRModule &M, const std::string &TestName,
@@ -269,11 +277,10 @@ Result<TestDetectionResult> narada::detectRacesInTest(
   };
 
   // The randomized loop (modes Random and PCT, and the Systematic
-  // fallback).  A run that exhausts its step budget is retried with an
-  // escalated budget; if even the last escalation hits the ceiling the
-  // test is quarantined — a runaway schedule must never pass for a clean
-  // one.  Returns false when the caller must return immediately (either
-  // PhaseError is set or Out was quarantined).
+  // fallback).  A run that exhausts its step budget quarantines the test at
+  // once — a runaway schedule must never pass for a clean one.  Returns
+  // false when the caller must return immediately (either PhaseError is
+  // set or Out was quarantined).
   auto runRandomPhase = [&]() -> bool {
     for (unsigned RunIdx = 0; RunIdx < Options.RandomRuns; ++RunIdx) {
       if (WallExpired()) {
@@ -284,65 +291,46 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       Metrics.counter("detect.schedules_explored").inc();
       ++Out.SchedulesRun;
       fault::probe("detect.random_run");
-      for (unsigned Try = 0;; ++Try) {
-        // Detectors and policy are rebuilt per attempt so a retry replays
-        // the identical schedule, only with more budget.
-        HBDetector HB;
-        LockSetDetector LockSet;
-        ObserverMux Mux;
-        if (Options.UseHB)
-          Mux.add(&HB);
-        if (Options.UseLockSet)
-          Mux.add(&LockSet);
-
-        bool Limited = fault::timeoutProbe("detect.random.steps");
-        if (!Limited) {
-          RandomPolicy Random(Options.BaseSeed + RunIdx);
-          PCTPolicy PCT(Options.BaseSeed + RunIdx);
-          SchedulingPolicy &Inner =
-              Options.Mode == ExplorationMode::PCT
-                  ? static_cast<SchedulingPolicy &>(PCT)
-                  : static_cast<SchedulingPolicy &>(Random);
-          // Recording delegates every pick, so wrapping is transparent to
-          // the inner policy's schedule.
-          explore::RecordingPolicy Recorder(Inner);
-          SchedulingPolicy &Policy =
-              WantWitness ? static_cast<SchedulingPolicy &>(Recorder)
-                          : Inner;
-          Result<TestRun> Run =
-              runTest(M, TestName, Policy, /*RandSeed=*/1, &Mux,
-                      escalatedBudget(Options, Try));
-          if (!Run) {
-            PhaseError = Run.error();
-            return false;
-          }
-          Limited = Run->Result.HitStepLimit;
-          if (!Limited) {
-            Out.SawFault = Out.SawFault || Run->Result.Faulted;
-            Out.SawDeadlock = Out.SawDeadlock || Run->Result.Deadlocked;
-            explore::ScheduleTrace Trace;
-            if (WantWitness)
-              Trace = Recorder.trace(TestName, /*RandSeed=*/1);
-            for (const RaceReport &R : HB.races())
-              NoteRace(R, Trace);
-            for (const RaceReport &R : LockSet.races())
-              NoteRace(R, Trace);
-            break;
-          }
-        }
-        Out.SawStepLimit = true;
-        Metrics.counter("detect.step_limit_runs").inc();
-        if (Try >= Options.StepLimitRetries) {
-          quarantine(Out, TestName,
-                     formatString("random-schedule run %u exceeded its step "
-                                  "budget (%llu steps after %u retries)",
-                                  RunIdx,
-                                  static_cast<unsigned long long>(
-                                      escalatedBudget(Options, Try)),
-                                  Try));
+      RunResult Outcome;
+      if (fault::timeoutProbe("detect.random.steps")) {
+        Outcome.HitStepLimit = true; // Simulated watchdog expiry.
+      } else {
+        DetectorSet Detectors(Options);
+        RandomPolicy Random(Options.BaseSeed + RunIdx);
+        PCTPolicy PCT(Options.BaseSeed + RunIdx);
+        SchedulingPolicy &Inner =
+            Options.Mode == ExplorationMode::PCT
+                ? static_cast<SchedulingPolicy &>(PCT)
+                : static_cast<SchedulingPolicy &>(Random);
+        // Recording delegates every pick, so wrapping is transparent to the
+        // inner policy's schedule.
+        explore::RecordingPolicy Recorder(Inner);
+        SchedulingPolicy &Policy =
+            WantWitness ? static_cast<SchedulingPolicy &>(Recorder) : Inner;
+        Result<TestRun> Run = runTest(M, TestName, Policy, /*RandSeed=*/1,
+                                      Detectors.observer(), Options.MaxSteps);
+        if (!Run) {
+          PhaseError = Run.error();
           return false;
         }
-        Metrics.counter("detect.retries").inc();
+        Outcome = std::move(Run->Result);
+        if (!Outcome.HitStepLimit) {
+          explore::ScheduleTrace Trace;
+          if (WantWitness)
+            Trace = Recorder.trace(TestName, /*RandSeed=*/1);
+          Detectors.forEachRace(
+              [&](const RaceReport &R) { NoteRace(R, Trace); });
+        }
+      }
+      latchOutcome(Out, Outcome);
+      if (Outcome.HitStepLimit) {
+        quarantine(Out, TestName,
+                   formatString("random-schedule run %u exceeded its step "
+                                "budget of %llu steps",
+                                RunIdx,
+                                static_cast<unsigned long long>(
+                                    Options.MaxSteps)));
+        return false;
       }
     }
     return true;
@@ -357,9 +345,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       std::function<void(const RaceReport &, const explore::ScheduleTrace &)>
           Note;
       std::function<bool()> Expired;
-      std::optional<HBDetector> HB;
-      std::optional<LockSetDetector> LockSet;
-      ObserverMux Mux;
+      std::optional<DetectorSet> Detectors;
 
       Visitor(const DetectOptions &Options, TestDetectionResult &Out,
               decltype(Note) Note, decltype(Expired) Expired)
@@ -367,32 +353,16 @@ Result<TestDetectionResult> narada::detectRacesInTest(
             Expired(std::move(Expired)) {}
 
       ExecutionObserver *beginSchedule(unsigned) override {
-        HB.emplace();
-        LockSet.emplace();
-        Mux = ObserverMux();
-        if (Options.UseHB)
-          Mux.add(&*HB);
-        if (Options.UseLockSet)
-          Mux.add(&*LockSet);
-        return &Mux;
+        Detectors.emplace(Options);
+        return Detectors->observer();
       }
 
       bool endSchedule(const explore::ScheduleTrace &Trace,
                        const TestRun &Run) override {
-        Out.SawFault = Out.SawFault || Run.Result.Faulted;
-        Out.SawDeadlock = Out.SawDeadlock || Run.Result.Deadlocked;
-        if (Run.Result.HitStepLimit) {
-          // A step-limited schedule is recorded (its prefix branches were
-          // still expanded) but the test can no longer count as clean.
-          Out.SawStepLimit = true;
-          obs::MetricsRegistry::global()
-              .counter("detect.step_limit_runs")
-              .inc();
-        }
-        for (const RaceReport &R : HB->races())
-          Note(R, Trace);
-        for (const RaceReport &R : LockSet->races())
-          Note(R, Trace);
+        // A step-limited schedule is recorded (its prefix branches were
+        // still expanded) but the test can no longer count as clean.
+        latchOutcome(Out, Run.Result);
+        Detectors->forEachRace([&](const RaceReport &R) { Note(R, Trace); });
         return !Expired();
       }
     };
@@ -429,7 +399,8 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     return true;
   };
 
-  // Mode Replay: exactly one execution of the recorded trace.
+  // Mode Replay: exactly one execution of the recorded trace, under the
+  // same step budget as every other run.
   auto runReplayPhase = [&]() -> bool {
     if (!Options.ReplayTrace) {
       PhaseError = Error("replay mode requires a schedule trace");
@@ -445,19 +416,11 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     Metrics.counter("detect.schedules_explored").inc();
     Metrics.counter("explore.replays").inc();
     ++Out.SchedulesRun;
-    HBDetector HB;
-    LockSetDetector LockSet;
-    ObserverMux Mux;
-    if (Options.UseHB)
-      Mux.add(&HB);
-    if (Options.UseLockSet)
-      Mux.add(&LockSet);
+    DetectorSet Detectors(Options);
     explore::ReplayPolicy Policy(*Options.ReplayTrace);
-    // Replays get the fully escalated budget up front: the recorded run
-    // already fit in some budget, so there is nothing to ladder.
     Result<TestRun> Run =
-        runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed, &Mux,
-                escalatedBudget(Options, Options.StepLimitRetries));
+        runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed,
+                Detectors.observer(), Options.MaxSteps);
     if (!Run) {
       PhaseError = Run.error();
       return false;
@@ -466,13 +429,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       NARADA_LOG_WARN("replay of %s diverged from its recorded schedule "
                       "(trace from a different module or build?)",
                       TestName.c_str());
-    Out.SawFault = Out.SawFault || Run->Result.Faulted;
-    Out.SawDeadlock = Out.SawDeadlock || Run->Result.Deadlocked;
-    Out.SawStepLimit = Out.SawStepLimit || Run->Result.HitStepLimit;
-    for (const RaceReport &R : HB.races())
-      ByKey.emplace(R.key(), R);
-    for (const RaceReport &R : LockSet.races())
-      ByKey.emplace(R.key(), R);
+    latchOutcome(Out, Run->Result);
+    Detectors.forEachRace(
+        [&](const RaceReport &R) { ByKey.emplace(R.key(), R); });
     return true;
   };
 
@@ -516,24 +475,17 @@ Result<TestDetectionResult> narada::detectRacesInTest(
           [&, &Key = Key, &Trace = Trace](
               const std::vector<explore::SegmentReplayPolicy::Segment>
                   &Candidate) -> std::optional<explore::ScheduleTrace> {
-        HBDetector HB;
-        LockSetDetector LockSet;
-        ObserverMux Mux;
-        if (Options.UseHB)
-          Mux.add(&HB);
-        if (Options.UseLockSet)
-          Mux.add(&LockSet);
+        DetectorSet Detectors(Options);
         explore::SegmentReplayPolicy Inner(Candidate);
         explore::RecordingPolicy Recorder(Inner);
-        Result<TestRun> Run = runTest(M, TestName, Recorder, Trace.RandSeed,
-                                      &Mux, Options.MaxSteps);
+        Result<TestRun> Run =
+            runTest(M, TestName, Recorder, Trace.RandSeed,
+                    Detectors.observer(), Options.MaxSteps);
         if (!Run || Run->Result.HitStepLimit)
           return std::nullopt;
         bool Seen = false;
-        for (const RaceReport &R : HB.races())
-          Seen = Seen || R.key() == Key;
-        for (const RaceReport &R : LockSet.races())
-          Seen = Seen || R.key() == Key;
+        Detectors.forEachRace(
+            [&](const RaceReport &R) { Seen = Seen || R.key() == Key; });
         if (!Seen)
           return std::nullopt;
         return Recorder.trace(TestName, Trace.RandSeed);
@@ -584,44 +536,35 @@ Result<TestDetectionResult> narada::detectRacesInTest(
          ++Attempt) {
       Metrics.counter("detect.confirm_attempts").inc();
       uint64_t Seed = Options.BaseSeed + 1000 + Attempt;
-      Result<ConfirmRun> FirstOrder = runConfirmWithRetry(
-          M, TestName, LabelA, LabelB, Seed,
-          /*SecondFirst=*/false, Options, Out.SawStepLimit);
+      // Runs one access order; a step-limited run quarantines the test —
+      // this confirmation can not be trusted to have run clean.
+      auto RunOrder = [&](bool SecondFirst) -> Result<ConfirmRun> {
+        Result<ConfirmRun> Run = runConfirm(M, TestName, LabelA, LabelB, Seed,
+                                            SecondFirst, Options.MaxSteps);
+        if (Run && Run->HitStepLimit) {
+          noteStepLimit(Out);
+          quarantine(Out, TestName,
+                     formatString("confirmation of %s~%s%s exceeded its "
+                                  "step budget of %llu steps",
+                                  LabelA.c_str(), LabelB.c_str(),
+                                  SecondFirst ? " (reversed order)" : "",
+                                  static_cast<unsigned long long>(
+                                      Options.MaxSteps)));
+        }
+        return Run;
+      };
+      Result<ConfirmRun> FirstOrder = RunOrder(/*SecondFirst=*/false);
       if (!FirstOrder)
         return FirstOrder.error();
-      if (FirstOrder->HitStepLimit) {
-        // Even the escalated budgets were exhausted: quarantine — this
-        // confirmation can not be trusted to have run clean.
-        quarantine(Out, TestName,
-                   formatString("confirmation of %s~%s exceeded its step "
-                                "budget (%llu steps after %u retries)",
-                                LabelA.c_str(), LabelB.c_str(),
-                                static_cast<unsigned long long>(
-                                    escalatedBudget(
-                                        Options, Options.StepLimitRetries)),
-                                Options.StepLimitRetries));
-        return Out;
-      }
+      if (FirstOrder->HitStepLimit)
+        return Out; // Quarantined by RunOrder.
       if (!FirstOrder->Confirmed)
         continue;
-
-      Result<ConfirmRun> SecondOrder = runConfirmWithRetry(
-          M, TestName, LabelA, LabelB, Seed,
-          /*SecondFirst=*/true, Options, Out.SawStepLimit);
+      Result<ConfirmRun> SecondOrder = RunOrder(/*SecondFirst=*/true);
       if (!SecondOrder)
         return SecondOrder.error();
-      if (SecondOrder->HitStepLimit) {
-        quarantine(Out, TestName,
-                   formatString("confirmation of %s~%s (reversed order) "
-                                "exceeded its step budget (%llu steps "
-                                "after %u retries)",
-                                LabelA.c_str(), LabelB.c_str(),
-                                static_cast<unsigned long long>(
-                                    escalatedBudget(
-                                        Options, Options.StepLimitRetries)),
-                                Options.StepLimitRetries));
+      if (SecondOrder->HitStepLimit)
         return Out;
-      }
 
       Entry.Reproduced = true;
       Entry.Report = FirstOrder->Report;
@@ -634,13 +577,8 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       bool ObservationDiverges =
           SecondOrder->Confirmed &&
           FirstOrder->ObservedHash != SecondOrder->ObservedHash;
-      // Step-limited runs count as misbehaving (defense in depth: the
-      // retry protocol above normally quarantines them first) — a
-      // schedule that ran away is anything but clean.
       bool Misbehaved = FirstOrder->Faulted || FirstOrder->Deadlocked ||
-                        FirstOrder->HitStepLimit ||
-                        SecondOrder->Faulted || SecondOrder->Deadlocked ||
-                        SecondOrder->HitStepLimit;
+                        SecondOrder->Faulted || SecondOrder->Deadlocked;
       Entry.Harmful = StateDiverges || ObservationDiverges || Misbehaved;
       break;
     }
@@ -683,19 +621,12 @@ detectIsolated(const std::vector<TestDetectJob> &Jobs,
   std::vector<TestDetectionResult> Out;
   Out.reserve(Jobs.size());
   std::optional<Error> FirstError;
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
   for (size_t I = 0; I < Outcomes.size(); ++I) {
     const pool::UnitOutcome &O = Outcomes[I];
     obs::observePoolUnitMicros(O.Micros);
     if (!O.Ok) {
-      TestDetectionResult Q;
-      Q.Quarantined = true;
-      Q.QuarantineReason = pool::describeCrash(O);
-      Metrics.counter("detect.quarantined").inc();
-      Metrics.counter("detect.worker_crashes").inc();
-      NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                      Q.QuarantineReason.c_str());
-      Out.push_back(std::move(Q));
+      Out.push_back(quarantinedResult(Jobs[I].TestName, pool::describeCrash(O),
+                                      "detect.worker_crashes"));
       continue;
     }
     wire::RecordReader Reply(O.Payload);
@@ -707,14 +638,9 @@ detectIsolated(const std::vector<TestDetectJob> &Jobs,
       continue;
     }
     if (std::optional<std::string> Fault = Reply.get("fault")) {
-      TestDetectionResult Q;
-      Q.Quarantined = true;
-      Q.QuarantineReason = "internal fault: " + *Fault;
-      Metrics.counter("detect.quarantined").inc();
-      Metrics.counter("detect.internal_faults").inc();
-      NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                      Q.QuarantineReason.c_str());
-      Out.push_back(std::move(Q));
+      Out.push_back(quarantinedResult(Jobs[I].TestName,
+                                      "internal fault: " + *Fault,
+                                      "detect.internal_faults"));
       continue;
     }
     Out.push_back(detectworker::decodeDetectResult(Reply));
@@ -740,15 +666,9 @@ Result<std::vector<TestDetectionResult>> narada::detectRacesInTests(
   // quarantined result: one misbehaving synthesized test must cost its own
   // results, never the whole batch (let alone the process).
   auto Quarantined = [&](size_t I, std::exception_ptr E) {
-    TestDetectionResult Q;
-    Q.Quarantined = true;
-    Q.QuarantineReason = "internal fault: " + describeException(E);
-    obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-    Metrics.counter("detect.quarantined").inc();
-    Metrics.counter("detect.internal_faults").inc();
-    NARADA_LOG_WARN("quarantined test %s: %s", Jobs[I].TestName.c_str(),
-                    Q.QuarantineReason.c_str());
-    return Q;
+    return quarantinedResult(Jobs[I].TestName,
+                             "internal fault: " + describeException(E),
+                             "detect.internal_faults");
   };
 
   auto RunOne = [&](size_t I) {

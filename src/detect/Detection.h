@@ -62,6 +62,10 @@ struct DetectOptions {
   unsigned RandomRuns = 12;    ///< Random-schedule detection executions.
   unsigned ConfirmAttempts = 4; ///< Scheduler seeds tried per confirmation.
   uint64_t BaseSeed = 1;
+  /// Step budget of every run: random, systematic, replay, witness
+  /// minimization and confirmation alike.  A random or confirmation run
+  /// that exhausts it quarantines the test — never reported as a clean
+  /// schedule.
   uint64_t MaxSteps = 400'000;
   bool UseHB = true;
   bool UseLockSet = true;
@@ -69,7 +73,8 @@ struct DetectOptions {
   /// identical in every mode.
   ExplorationMode Mode = ExplorationMode::Random;
   /// Budgets for Mode == Systematic.  MaxSteps/RandSeed in here are
-  /// overridden from the fields above so budget escalation stays uniform.
+  /// overridden from the fields above, so every schedule of every mode runs
+  /// under the same step budget and VM seed.
   explore::ExploreOptions Explore;
   /// When non-empty, every race found in phase 1 emits a minimized,
   /// replayable witness trace file under this directory (all modes).
@@ -77,12 +82,6 @@ struct DetectOptions {
   /// The trace to execute when Mode == Replay.  Shared because
   /// DetectOptions is copied per worker; the trace is read-only.
   std::shared_ptr<const explore::ScheduleTrace> ReplayTrace;
-  /// Watchdog budgets.  A run that exhausts its step budget is retried
-  /// with an escalated budget (MaxSteps * StepBudgetEscalation^try) up to
-  /// StepLimitRetries times; if the final retry still hits the ceiling the
-  /// test is quarantined — never reported as a clean schedule.
-  unsigned StepLimitRetries = 2;
-  uint64_t StepBudgetEscalation = 4; ///< Budget multiplier per retry (>= 2).
   /// Per-test wall-clock budget in seconds; exceeded => the test is
   /// quarantined with whatever results were already gathered.  0 disables
   /// the watchdog (the default: wall-clock cutoffs are inherently timing-
@@ -105,13 +104,16 @@ struct TestDetectionResult {
   std::vector<ConfirmedRace> Races; ///< One entry per detected race.
   bool SawFault = false;
   bool SawDeadlock = false;
-  /// Some run hit its step ceiling (even if a budget-escalated retry then
-  /// completed) — the schedule was NOT clean end to end.
+  /// Some run hit its step ceiling — the schedule was NOT clean end to
+  /// end.
   bool SawStepLimit = false;
-  /// The test was pulled from the run: its step/wall budget was exhausted
-  /// after retries, or its detection crashed (exception contained by
-  /// detectRacesInTests).  Results gathered before quarantine are kept,
-  /// but the test must not be counted as having run clean.
+  /// The test was pulled from the run: a random or confirmation run
+  /// exhausted its step budget, the wall budget ran out, or its detection
+  /// crashed (exception contained by detectRacesInTests).  A test
+  /// quarantined during phase 1 keeps its flags and SchedulesRun but drops
+  /// its phase-1 detections (Detected stays empty); one quarantined during
+  /// confirmation keeps Detected and the Races classified so far.  Either
+  /// way the test must not be counted as having run clean.
   bool Quarantined = false;
   std::string QuarantineReason; ///< Human-readable; empty when !Quarantined.
   /// Phase-1 schedule accounting: executions performed (random runs,
@@ -129,6 +131,13 @@ struct TestDetectionResult {
   unsigned harmfulCount() const;
   unsigned benignCount() const;
 };
+
+/// A result for a test quarantined before detection produced anything:
+/// records \p Reason, bumps detect.quarantined and \p CauseCounter, and
+/// logs a warning.
+TestDetectionResult quarantinedResult(const std::string &TestName,
+                                      std::string Reason,
+                                      const char *CauseCounter);
 
 /// Runs the full protocol on \p TestName.  \p Hints adds candidate label
 /// pairs from the synthesizer even if no random schedule detected them.

@@ -9,20 +9,18 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "support/RaceKey.h"
+#include "support/SnapshotFile.h"
 #include "support/Wire.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace narada;
 using namespace narada::racedb;
 
 namespace {
 
-constexpr const char *Magic = "narada.racedb";
-constexpr uint64_t Version = 1;
+constexpr snapshot::Format RaceDbFormat{"racedb", "narada.racedb",
+                                        /*MinVersion=*/1, /*Version=*/1};
 
 } // namespace
 
@@ -154,9 +152,7 @@ std::string racedb::renderRaceDb(const RaceDb &Db) {
     Out += wire::frameBytes(W.str());
   };
   {
-    wire::RecordWriter Header;
-    Header.add("magic", std::string_view(Magic));
-    Header.add("version", Version);
+    wire::RecordWriter Header = snapshot::header(RaceDbFormat);
     Header.add("next_run_id", Db.NextRunId);
     Emit(Header);
   }
@@ -172,79 +168,36 @@ std::string racedb::renderRaceDb(const RaceDb &Db) {
 }
 
 bool racedb::saveRaceDb(const std::string &Path, const RaceDb &Db) {
-  const std::string TempPath = Path + ".tmp";
-  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    NARADA_LOG_WARN("racedb: cannot write db file '%s'", TempPath.c_str());
-    return false;
-  }
-  const std::string Bytes = renderRaceDb(Db);
-  bool Ok = true;
-  size_t Off = 0;
-  while (Ok && Off < Bytes.size()) {
-    ssize_t N = ::write(Fd, Bytes.data() + Off, Bytes.size() - Off);
-    if (N <= 0)
-      Ok = false;
-    else
-      Off += static_cast<size_t>(N);
-  }
-  ::close(Fd);
-  if (!Ok || ::rename(TempPath.c_str(), Path.c_str()) != 0) {
-    NARADA_LOG_WARN("racedb: failed to persist db file '%s'", Path.c_str());
-    ::unlink(TempPath.c_str());
+  if (Status S = snapshot::save(RaceDbFormat, Path, renderRaceDb(Db));
+      !S.ok()) {
+    NARADA_LOG_WARN("racedb: %s", S.error().str().c_str());
     return false;
   }
   return true;
 }
 
 Result<RaceDb> racedb::loadRaceDb(const std::string &Path, LoadStats *Stats) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return Error("cannot open racedb file '" + Path + "'");
   RaceDb Db;
   LoadStats Local;
-  std::string Payload;
-  wire::ReadStatus St = wire::readFrame(Fd, Payload);
-  if (St != wire::ReadStatus::Ok) {
-    ::close(Fd);
-    return Error("racedb file '" + Path + "' has no header frame");
-  }
-  {
-    wire::RecordReader Header(Payload);
-    if (Header.getOr("magic", "") != Magic) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has a bad magic");
-    }
-    if (Header.getU64("version", 0) != Version) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has an unsupported version");
-    }
+  auto OnHeader = [&](const wire::RecordReader &Header) {
     Db.NextRunId = Header.getU64("next_run_id", 1);
-  }
-  for (;;) {
-    St = wire::readFrame(Fd, Payload);
-    if (St == wire::ReadStatus::Eof)
-      break;
-    if (St != wire::ReadStatus::Ok) {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' is truncated or corrupt");
-    }
-    wire::RecordReader In(Payload);
+    return Status::success();
+  };
+  auto OnFrame = [&](const wire::RecordReader &In) -> Status {
     const std::string Kind = In.getOr("kind", "");
-    if (Kind != "race") {
-      ::close(Fd);
-      return Error("racedb file '" + Path + "' has an unknown entry kind '" +
-                   Kind + "'");
-    }
+    if (Kind != "race")
+      return snapshot::fileError(RaceDbFormat, Path,
+                                 "has an unknown entry kind '" + Kind + "'");
     Result<RaceRecord> R = decodeRaceFrame(In, Local);
-    if (!R) {
-      ::close(Fd);
+    if (!R)
       return R.error();
-    }
     std::string Key = R->Key;
     Db.Races[std::move(Key)] = R.take();
-  }
-  ::close(Fd);
+    return Status::success();
+  };
+  if (Status S = snapshot::load(RaceDbFormat, Path, OnFrame, OnHeader);
+      !S.ok())
+    return S.error();
   if (Local.MigratedKeys)
     obs::MetricsRegistry::global()
         .counter("racedb.keys_migrated")

@@ -16,9 +16,9 @@
 ///   New ──seen again──▶ Persisting ──absent──▶ Resolved ──seen──▶ Regressed
 ///
 /// (an absent New race resolves too; a Regressed race stays Regressed
-/// until it goes absent again).  Persistence mirrors serve/CacheFile:
-/// length-prefixed Wire frames, a versioned header, all-or-nothing load,
-/// atomic temp+rename save.  No wall-clock anywhere — run ids are a
+/// until it goes absent again).  Persistence is the shared snapshot format
+/// (support/SnapshotFile.h): length-prefixed Wire frames, a versioned
+/// header, all-or-nothing load, atomic temp+rename save.  No wall-clock anywhere — run ids are a
 /// monotonic counter — so ingest is deterministic and byte-identical at
 /// any job count.  docs/TRIAGE.md documents the schema.
 ///

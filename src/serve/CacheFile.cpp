@@ -8,11 +8,9 @@
 
 #include "detect/DetectWorker.h"
 #include "obs/Log.h"
+#include "support/SnapshotFile.h"
 #include "support/Wire.h"
 
-#include <cstdio>
-#include <fcntl.h>
-#include <unistd.h>
 #include <utility>
 #include <vector>
 
@@ -25,11 +23,10 @@ using staticrace::StaticAccess;
 
 namespace {
 
-constexpr const char *Magic = "narada.serve_cache";
 // Version 2 added kind=detect_memo frames; version-1 files (which simply
 // lack them) are still accepted on load.
-constexpr uint64_t Version = 2;
-constexpr uint64_t MinVersion = 1;
+constexpr snapshot::Format CacheFormat{"cache", "narada.serve_cache",
+                                       /*MinVersion=*/1, /*Version=*/2};
 
 // Nested records: a whole sub-record rides as one escaped value (the wire
 // escaping turns its newlines into \n), so arbitrarily deep structures —
@@ -239,23 +236,14 @@ decodeMemoFrame(const wire::RecordReader &In) {
 
 bool serve::saveCacheFile(const std::string &Path,
                           const CacheSnapshot &Snapshot) {
-  const std::string TempPath = Path + ".tmp";
-  int Fd = ::open(TempPath.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    NARADA_LOG_WARN("serve: cannot write cache file '%s'", TempPath.c_str());
-    return false;
-  }
-  bool Ok = true;
+  std::string Bytes;
+  bool Ok = true; // A frame the loader would refuse is never persisted.
   auto Emit = [&](const wire::RecordWriter &W) {
-    if (Ok && !wire::writeFrame(Fd, W.str()))
-      Ok = false;
+    std::string Payload = W.str();
+    Ok = Ok && Payload.size() <= wire::MaxFrameBytes;
+    Bytes += wire::frameBytes(Payload);
   };
-  {
-    wire::RecordWriter Header;
-    Header.add("magic", std::string_view(Magic));
-    Header.add("version", Version);
-    Emit(Header);
-  }
+  Emit(snapshot::header(CacheFormat));
   for (const auto &[Symbol, Entry] : Snapshot.Summaries) {
     wire::RecordWriter W;
     encodeSummaryFrame(W, Symbol, Entry);
@@ -282,92 +270,53 @@ bool serve::saveCacheFile(const std::string &Path,
     encodeDetectMemoFrame(W, Key, It->second);
     Emit(W);
   }
-  ::close(Fd);
-  if (!Ok || ::rename(TempPath.c_str(), Path.c_str()) != 0) {
-    NARADA_LOG_WARN("serve: failed to persist cache file '%s'", Path.c_str());
-    ::unlink(TempPath.c_str());
+  Status S = Ok ? snapshot::save(CacheFormat, Path, Bytes)
+                : snapshot::fileError(CacheFormat, Path,
+                                      "has a frame over the size limit");
+  if (!S.ok()) {
+    NARADA_LOG_WARN("serve: %s", S.error().str().c_str());
     return false;
   }
   return true;
 }
 
 Result<CacheSnapshot> serve::loadCacheFile(const std::string &Path) {
-  int Fd = ::open(Path.c_str(), O_RDONLY);
-  if (Fd < 0)
-    return Error("cannot open cache file '" + Path + "'");
   CacheSnapshot Snapshot;
-  std::string Payload;
-  wire::ReadStatus St = wire::readFrame(Fd, Payload);
-  if (St != wire::ReadStatus::Ok) {
-    ::close(Fd);
-    return Error("cache file '" + Path + "' has no header frame");
-  }
-  {
-    wire::RecordReader Header(Payload);
-    if (Header.getOr("magic", "") != Magic) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has a bad magic");
-    }
-    const uint64_t V = Header.getU64("version", 0);
-    if (V < MinVersion || V > Version) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has an unsupported version");
-    }
-  }
-  for (;;) {
-    St = wire::readFrame(Fd, Payload);
-    if (St == wire::ReadStatus::Eof)
-      break;
-    if (St != wire::ReadStatus::Ok) {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' is truncated or corrupt");
-    }
-    wire::RecordReader In(Payload);
+  auto OnFrame = [&](const wire::RecordReader &In) -> Status {
     const std::string Kind = In.getOr("kind", "");
     if (Kind == "summary") {
       Result<std::pair<std::string, CacheSnapshot::SummaryEntry>> Entry =
           decodeSummaryFrame(In);
-      if (!Entry) {
-        ::close(Fd);
+      if (!Entry)
         return Entry.error();
-      }
       Snapshot.Summaries[Entry->first] = std::move(Entry->second);
     } else if (Kind == "memo_scope") {
-      std::optional<std::string> Digest = In.get("digest");
-      if (!Digest) {
-        ::close(Fd);
+      if (!In.get("digest"))
         return Error("cache memo scope has no digest");
-      }
       Result<std::unique_ptr<DerivationMemo>> Memo = decodeMemoFrame(In);
-      if (!Memo) {
-        ::close(Fd);
+      if (!Memo)
         return Memo.error();
-      }
       Snapshot.MemoScopes[In.getU64("digest", 0)] = Memo.take();
     } else if (Kind == "detect_memo") {
       Result<std::pair<uint64_t, std::vector<TestDetectionResult>>> Entry =
           decodeDetectMemoFrame(In);
-      if (!Entry) {
-        ::close(Fd);
+      if (!Entry)
         return Entry.error();
-      }
       if (Snapshot.DetectMemo.emplace(Entry->first, std::move(Entry->second))
               .second)
         Snapshot.DetectOrder.push_back(Entry->first);
     } else if (Kind == "input") {
       std::optional<std::string> Name = In.get("name");
-      std::optional<std::string> Digest = In.get("digest");
-      if (!Name || !Digest) {
-        ::close(Fd);
+      if (!Name || !In.get("digest"))
         return Error("cache input binding has no name/digest");
-      }
       Snapshot.InputDigests[*Name] = In.getU64("digest", 0);
     } else {
-      ::close(Fd);
-      return Error("cache file '" + Path + "' has an unknown entry kind '" +
-                   Kind + "'");
+      return snapshot::fileError(CacheFormat, Path,
+                                 "has an unknown entry kind '" + Kind + "'");
     }
-  }
-  ::close(Fd);
+    return Status::success();
+  };
+  if (Status S = snapshot::load(CacheFormat, Path, OnFrame); !S.ok())
+    return S.error();
   return Snapshot;
 }

@@ -7,9 +7,10 @@
 /// \file
 /// Serialization of the daemon's durable caches (docs/SERVING.md): the
 /// content-addressed static summary store and the per-source derivation
-/// memo scopes.  The file is a sequence of support/Wire.h frames — the
-/// same length-prefixed record format every other Narada wire surface
-/// uses — starting with a versioned header:
+/// memo scopes.  The file is a support/SnapshotFile.h snapshot — a
+/// sequence of support/Wire.h frames, the same length-prefixed record
+/// format every other Narada wire surface uses — starting with a versioned
+/// header:
 ///
 ///   frame 0:  magic=narada.serve_cache  version=2
 ///   frame N:  kind=summary      one (symbol, cone digest) summary entry

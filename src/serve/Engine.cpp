@@ -509,8 +509,6 @@ void emitObservability(const CliArgs &Args, const RunState &State) {
     Meta.addOption("policy", Args.PolicyName);
   if (Args.Command == "detect") {
     Meta.addOption("max_steps", std::to_string(Args.Detect.MaxSteps));
-    Meta.addOption("step_retries",
-                   std::to_string(Args.Detect.StepLimitRetries));
     if (Args.Detect.WallBudgetSeconds > 0.0)
       Meta.addOption("wall_budget_seconds",
                      std::to_string(Args.Detect.WallBudgetSeconds));
@@ -652,9 +650,8 @@ int serve::usage() {
       "  --confirm-attempts N  scheduler seeds per confirmation\n"
       "                        (default 4, never 0)\n"
       "detect watchdog flags (see docs/ROBUSTNESS.md):\n"
-      "  --max-steps N         per-run step budget (default 400000)\n"
-      "  --step-retries N      escalated-budget retries for step-limit\n"
-      "                        hits before quarantining (default 2)\n"
+      "  --max-steps N         per-run step budget; a step-limited\n"
+      "                        run quarantines its test (default 400000)\n"
       "  --wall-budget SECS    per-test wall-clock budget (default: off)\n"
       "process isolation flags (see docs/ROBUSTNESS.md):\n"
       "  --isolate             run synthesis/detection units in crash-\n"
@@ -699,9 +696,6 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
       Args.TracePath = Argv[++I];
     } else if (Arg == "--max-steps" && I + 1 < Argc) {
       Args.Detect.MaxSteps = std::stoull(Argv[++I]);
-    } else if (Arg == "--step-retries" && I + 1 < Argc) {
-      Args.Detect.StepLimitRetries =
-          static_cast<unsigned>(std::stoul(Argv[++I]));
     } else if (Arg == "--wall-budget" && I + 1 < Argc) {
       Args.Detect.WallBudgetSeconds = std::stod(Argv[++I]);
     } else if (Arg == "--policy" && I + 1 < Argc) {

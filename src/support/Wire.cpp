@@ -168,9 +168,7 @@ std::vector<std::string> RecordReader::all(std::string_view Key) const {
   return Out;
 }
 
-namespace {
-
-bool writeAll(int Fd, const char *Data, size_t N) {
+bool wire::writeAll(int Fd, const char *Data, size_t N) {
   while (N > 0) {
     ssize_t Wrote = ::write(Fd, Data, N);
     if (Wrote < 0) {
@@ -183,6 +181,8 @@ bool writeAll(int Fd, const char *Data, size_t N) {
   }
   return true;
 }
+
+namespace {
 
 /// Reads exactly \p N bytes; returns how many were read before EOF/error
 /// (negative on error).

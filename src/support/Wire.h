@@ -90,6 +90,10 @@ private:
   std::vector<std::pair<std::string, std::string>> Entries;
 };
 
+/// Writes all \p N bytes to \p Fd (blocking, retries on EINTR and short
+/// writes).  Returns false on any write error.
+bool writeAll(int Fd, const char *Data, size_t N);
+
 /// Writes one frame to \p Fd (blocking, retries on EINTR and short
 /// writes).  Returns false on any write error (e.g. EPIPE from a dead
 /// peer) — callers treat that as a worker death, not a crash.

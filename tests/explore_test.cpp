@@ -16,6 +16,7 @@
 #include "explore/Explorer.h"
 #include "explore/ScheduleTrace.h"
 #include "explore/WitnessMinimizer.h"
+#include "obs/Metrics.h"
 #include "support/FaultInjection.h"
 #include "synth/Narada.h"
 #include "trace/Trace.h"
@@ -559,6 +560,55 @@ TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
   for (const std::string &Rep : AtJobs1)
     Found = Found || Rep.find("race on W.data") != std::string::npos;
   EXPECT_TRUE(Found) << "replay lost the recorded race";
+}
+
+TEST(WitnessRoundTripTest, WitnessReplayRunsUnderMaxSteps) {
+  CompiledProgram P = compileOk(MultiNarrow);
+  std::string Dir = freshTempDir("replay_max_steps");
+
+  DetectOptions Emit;
+  Emit.Mode = ExplorationMode::Systematic;
+  Emit.RandomRuns = 1;
+  Emit.ConfirmAttempts = 2;
+  Emit.WitnessDir = Dir;
+  Result<std::vector<TestDetectionResult>> Emitted =
+      detectRacesInTests(*P.Module, multiNarrowJobs(), Emit, 1);
+  ASSERT_TRUE(Emitted.hasValue());
+  ASSERT_FALSE((*Emitted)[0].WitnessFiles.empty());
+  Result<explore::ScheduleTrace> Trace =
+      explore::ScheduleTrace::readFile((*Emitted)[0].WitnessFiles[0]);
+  ASSERT_TRUE(Trace.hasValue());
+
+  // Detectors off: nothing is detected, so nothing is confirmed and the
+  // replay is the only run.
+  DetectOptions Replay;
+  Replay.Mode = ExplorationMode::Replay;
+  Replay.UseHB = false;
+  Replay.UseLockSet = false;
+  Replay.ReplayTrace =
+      std::make_shared<const explore::ScheduleTrace>(Trace.take());
+  auto counter = [](const char *Name) {
+    return obs::MetricsRegistry::global().snapshot().counter(Name);
+  };
+
+  uint64_t StepsBefore = counter("runtime.steps");
+  Result<TestDetectionResult> Full =
+      detectRacesInTest(*P.Module, "n0", Replay);
+  ASSERT_TRUE(Full.hasValue()) << Full.error().str();
+  ASSERT_FALSE(Full->SawStepLimit);
+  const uint64_t Steps = counter("runtime.steps") - StepsBefore;
+  ASSERT_GE(Steps, 2u);
+
+  // Half the steps the recorded schedule needs: the replay gets exactly
+  // that budget, with no headroom on top.
+  Replay.MaxSteps = Steps / 2;
+  uint64_t RunsBefore = counter("runtime.runs");
+  uint64_t HitsBefore = counter("runtime.step_limit_hits");
+  Result<TestDetectionResult> Cut = detectRacesInTest(*P.Module, "n0", Replay);
+  ASSERT_TRUE(Cut.hasValue()) << Cut.error().str();
+  EXPECT_TRUE(Cut->SawStepLimit);
+  EXPECT_EQ(counter("runtime.runs"), RunsBefore + 1);
+  EXPECT_EQ(counter("runtime.step_limit_hits"), HitsBefore + 1);
 }
 
 //===----------------------------------------------------------------------===//

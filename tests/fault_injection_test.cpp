@@ -7,8 +7,9 @@
 // process never aborts, the injected pair degrades to an internal_fault
 // skip (synthesis) or the injected test to a quarantined result
 // (detection), and the run stays byte-identical between --jobs 1 and
-// --jobs 4.  Plus the watchdog protocol on real step-limited programs:
-// retry with an escalating budget, then quarantine — never silently clean.
+// --jobs 4.  Plus the watchdog protocol on real step-limited programs: a
+// run that exhausts its step budget quarantines its test at once — never
+// silently clean.
 //
 //===----------------------------------------------------------------------===//
 
@@ -451,7 +452,7 @@ TEST_F(DetectFaultSweepTest, ThrowSitesQuarantineOnlyTheInjectedTest) {
     expectSameDetection(Again[I], Clean[I]);
 }
 
-TEST_F(DetectFaultSweepTest, TimeoutSitesRetryThenQuarantine) {
+TEST_F(DetectFaultSweepTest, TimeoutSitesQuarantineOnFirstHit) {
   fault::resetRegistry();
   std::vector<TestDetectionResult> Clean = detect(1);
   ASSERT_EQ(Clean.size(), Jobs.size());
@@ -463,7 +464,6 @@ TEST_F(DetectFaultSweepTest, TimeoutSitesRetryThenQuarantine) {
         << "timeout site was never consulted under a unit scope";
     ASSERT_LT(*Unit, Jobs.size());
 
-    uint64_t RetriesBefore = counterNow("detect.retries");
     uint64_t StepLimitBefore = counterNow("detect.step_limit_runs");
     fault::arm(Site, *Unit, fault::Mode::Timeout);
     std::vector<TestDetectionResult> Serial = detect(1);
@@ -474,9 +474,8 @@ TEST_F(DetectFaultSweepTest, TimeoutSitesRetryThenQuarantine) {
       SCOPED_TRACE(Jobs[I].TestName);
       expectSameDetection(Serial[I], Parallel[I]);
       if (I == *Unit) {
-        // The simulated step-limit exhausts every escalated retry, so the
-        // test must be quarantined — a runaway schedule never passes for a
-        // clean one.
+        // The simulated step-limit quarantines the test — a runaway
+        // schedule never passes for a clean one.
         EXPECT_TRUE(Serial[I].Quarantined);
         EXPECT_TRUE(Serial[I].SawStepLimit);
         EXPECT_NE(Serial[I].QuarantineReason.find("step budget"),
@@ -486,23 +485,19 @@ TEST_F(DetectFaultSweepTest, TimeoutSitesRetryThenQuarantine) {
         expectSameDetection(Serial[I], Clean[I]);
       }
     }
-    // The escalation protocol ran: StepLimitRetries retries per run, and
-    // every attempt was counted as a step-limited run.
-    EXPECT_GE(counterNow("detect.retries"),
-              RetriesBefore + 2 * Options.StepLimitRetries);
+    // Every step-limited run was counted.
     EXPECT_GT(counterNow("detect.step_limit_runs"), StepLimitBefore);
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Real watchdog budgets (no injection): retry escalation and quarantine
+// Real watchdog budgets (no injection): step-limit and wall quarantine
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 /// Single-threaded bounded loop: deterministic step count under every
-/// scheduling policy, sized to exhaust a 100-step budget but finish well
-/// inside 100 * 4^3.
+/// scheduling policy, sized to exhaust a 100-step budget.
 constexpr const char *BoundedLoop =
     "class W { field sum: int;\n"
     "  method work(n: int) {\n"
@@ -513,34 +508,31 @@ constexpr const char *BoundedLoop =
 
 } // namespace
 
-TEST(WatchdogTest, StepLimitRetriesWithEscalatedBudgetThenSucceeds) {
+TEST(WatchdogTest, StepLimitedRandomRunCostsOneRunThenQuarantines) {
   CompiledProgram P = compileOk(BoundedLoop);
 
-  // Calibration guards: the loop must blow a 100-step budget and complete
-  // within the fully escalated one, or the assertions below test nothing.
+  // Calibration guard: the loop must blow a 100-step budget, or the
+  // assertions below test nothing.
   RoundRobinPolicy Policy;
   Result<TestRun> Low = runTest(*P.Module, "t", Policy, 1, nullptr, 100);
   ASSERT_TRUE(Low.hasValue());
   ASSERT_TRUE(Low->Result.HitStepLimit);
-  Result<TestRun> High = runTest(*P.Module, "t", Policy, 1, nullptr, 6400);
-  ASSERT_TRUE(High.hasValue());
-  ASSERT_FALSE(High->Result.HitStepLimit);
 
-  DetectOptions Options;
-  Options.RandomRuns = 1;
-  Options.ConfirmAttempts = 1;
+  DetectOptions Options; // Default RandomRuns: none may run after the hit.
   Options.MaxSteps = 100;
-  Options.StepLimitRetries = 3;
-  Options.StepBudgetEscalation = 4;
-  uint64_t RetriesBefore = counterNow("detect.retries");
-
+  uint64_t RunsBefore = counterNow("runtime.runs");
+  uint64_t HitsBefore = counterNow("runtime.step_limit_hits");
   Result<TestDetectionResult> R = detectRacesInTest(*P.Module, "t", Options);
   ASSERT_TRUE(R.hasValue()) << R.error().str();
-  // Some attempt hit the ceiling (latched), but an escalated retry
-  // completed the run: not quarantined, not silently clean either.
+  // The first step-limited run is the last: no re-run of the same
+  // schedule, no further random run, no confirmation.
+  EXPECT_EQ(counterNow("runtime.runs"), RunsBefore + 1);
+  EXPECT_EQ(counterNow("runtime.step_limit_hits"), HitsBefore + 1);
+  EXPECT_EQ(R->SchedulesRun, 1u);
+  EXPECT_TRUE(R->Quarantined);
   EXPECT_TRUE(R->SawStepLimit);
-  EXPECT_FALSE(R->Quarantined) << R->QuarantineReason;
-  EXPECT_GT(counterNow("detect.retries"), RetriesBefore);
+  EXPECT_EQ(R->QuarantineReason,
+            "random-schedule run 0 exceeded its step budget of 100 steps");
 }
 
 TEST(WatchdogTest, ExhaustedStepBudgetQuarantinesNeverSilentlyClean) {
@@ -549,7 +541,6 @@ TEST(WatchdogTest, ExhaustedStepBudgetQuarantinesNeverSilentlyClean) {
   Options.RandomRuns = 1;
   Options.ConfirmAttempts = 1;
   Options.MaxSteps = 100;
-  Options.StepLimitRetries = 0; // No escalation: the budget stays blown.
   Result<TestDetectionResult> R = detectRacesInTest(*P.Module, "t", Options);
   ASSERT_TRUE(R.hasValue()) << R.error().str();
   EXPECT_TRUE(R->Quarantined);
