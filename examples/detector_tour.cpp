@@ -61,10 +61,14 @@ int main() {
     return 1;
   }
 
-  // One seeded execution with both passive detectors attached.
+  // One seeded execution with both passive detectors attached, plus a
+  // recorder so the trace can be shown alongside their reports.
+  Trace Recorded;
+  TraceRecorder Recorder(Recorded);
   HBDetector HB;
   LockSetDetector LockSet;
   ObserverMux Mux;
+  Mux.add(&Recorder);
   Mux.add(&HB);
   Mux.add(&LockSet);
   RandomPolicy Policy(7);
@@ -76,7 +80,7 @@ int main() {
 
   std::printf("== A slice of the execution trace ==\n");
   size_t Shown = 0;
-  for (const TraceEvent &Event : Run->TheTrace.events()) {
+  for (const TraceEvent &Event : Recorded.events()) {
     if (!Event.isAccess() && Event.Kind != EventKind::Lock &&
         Event.Kind != EventKind::Unlock)
       continue;

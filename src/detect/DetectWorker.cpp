@@ -26,11 +26,7 @@ void detectworker::encodeDetectOptions(wire::RecordWriter &W,
   W.addBool("use_hb", Options.UseHB);
   W.addBool("use_lockset", Options.UseLockSet);
   W.add("explore_mode", explorationModeName(Options.Mode));
-  W.add("explore_max_schedules",
-        static_cast<uint64_t>(Options.Explore.MaxSchedules));
-  W.add("explore_max_preemptions",
-        static_cast<uint64_t>(Options.Explore.MaxPreemptions));
-  W.addDouble("explore_wall_budget", Options.Explore.WallBudgetSeconds);
+  W.add("explore_max_schedules", static_cast<uint64_t>(Options.MaxSchedules));
   W.add("witness_dir", Options.WitnessDir);
   W.addDouble("wall_budget_seconds", Options.WallBudgetSeconds);
 }
@@ -47,11 +43,8 @@ Result<DetectOptions> detectworker::decodeDetectOptions(
   O.UseLockSet = In.getBool("use_lockset", true);
   if (!parseExplorationMode(In.getOr("explore_mode", "random"), O.Mode))
     return Error("detect setup record has an unknown exploration mode");
-  O.Explore.MaxSchedules =
+  O.MaxSchedules =
       static_cast<unsigned>(In.getU64("explore_max_schedules", 256));
-  O.Explore.MaxPreemptions =
-      static_cast<unsigned>(In.getU64("explore_max_preemptions", 2));
-  O.Explore.WallBudgetSeconds = In.getDouble("explore_wall_budget", 0.0);
   O.WitnessDir = In.getOr("witness_dir", "");
   O.WallBudgetSeconds = In.getDouble("wall_budget_seconds", 0.0);
   return O;

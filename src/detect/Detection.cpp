@@ -367,11 +367,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       }
     };
 
-    explore::ExploreOptions ExOpts = Options.Explore;
-    // Keep the step budget and VM seed uniform with the randomized loop so
-    // the two phases explore the same per-schedule universe.
+    explore::ExploreOptions ExOpts;
+    ExOpts.MaxSchedules = Options.MaxSchedules;
     ExOpts.MaxSteps = Options.MaxSteps;
-    ExOpts.RandSeed = 1;
     Visitor V(Options, Out, NoteRace, WallExpired);
     Result<explore::ExploreOutcome> Outcome =
         explore::exploreSchedules(M, TestName, ExOpts, V);
@@ -387,7 +385,7 @@ Result<TestDetectionResult> narada::detectRacesInTest(
       return false;
     }
     if (!Outcome->Exhausted) {
-      // Budget ladder bottom: the bounded space was too large, fall back
+      // Schedule budget hit: the bounded space was too large, fall back
       // to the randomized policies over what remains.
       Metrics.counter("explore.fallbacks").inc();
       NARADA_LOG_DEBUG("systematic exploration of %s hit its budget after "

@@ -26,7 +26,6 @@
 #define NARADA_DETECT_DETECTION_H
 
 #include "detect/RaceReport.h"
-#include "explore/Explorer.h"
 #include "explore/ScheduleTrace.h"
 #include "runtime/Execution.h"
 #include "support/Error.h"
@@ -72,10 +71,9 @@ struct DetectOptions {
   /// Schedule source for phase 1.  Confirmation (phases 2 + 3) is
   /// identical in every mode.
   ExplorationMode Mode = ExplorationMode::Random;
-  /// Budgets for Mode == Systematic.  MaxSteps/RandSeed in here are
-  /// overridden from the fields above, so every schedule of every mode runs
-  /// under the same step budget and VM seed.
-  explore::ExploreOptions Explore;
+  /// Schedule budget for Mode == Systematic.  Each schedule runs under
+  /// MaxSteps above, like every other run.
+  unsigned MaxSchedules = 256;
   /// When non-empty, every race found in phase 1 emits a minimized,
   /// replayable witness trace file under this directory (all modes).
   std::string WitnessDir;

@@ -9,7 +9,6 @@
 #include "obs/Metrics.h"
 #include "obs/Span.h"
 #include "support/FaultInjection.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <optional>
@@ -20,6 +19,12 @@ using namespace narada::explore;
 ScheduleVisitor::~ScheduleVisitor() = default;
 
 namespace {
+
+/// Preemptive context switches allowed per schedule (see ExploreOptions).
+constexpr unsigned PreemptionBound = 2;
+
+/// VM rand() stream seed of every explored schedule.
+constexpr uint64_t ExploreRandSeed = 1;
 
 bool contains(const std::vector<ThreadId> &Runnable, ThreadId T) {
   return std::find(Runnable.begin(), Runnable.end(), T) != Runnable.end();
@@ -54,8 +59,7 @@ struct Branch {
 /// Branch records for every decision point past the forced prefix.
 class DfsPolicy : public SchedulingPolicy {
 public:
-  DfsPolicy(const std::vector<ThreadId> &Forced, unsigned MaxPreemptions)
-      : Forced(Forced), MaxPreemptions(MaxPreemptions) {}
+  explicit DfsPolicy(const std::vector<ThreadId> &Forced) : Forced(Forced) {}
 
   ThreadId pick(const std::vector<ThreadId> &Runnable, VM &M) override {
     uint64_t Step = Picks.size();
@@ -91,7 +95,7 @@ public:
           // thread is itself paused at an access, the DPOR dependence
           // filter applies: switching to a thread about to perform an
           // independent access only reorders commuting operations.
-          if (Preemptions >= MaxPreemptions) {
+          if (Preemptions >= PreemptionBound) {
             ++Pruned;
             continue;
           }
@@ -137,7 +141,6 @@ public:
 
 private:
   const std::vector<ThreadId> &Forced;
-  unsigned MaxPreemptions;
 
   std::vector<ThreadId> Picks;
   std::vector<uint64_t> PreemptSteps;
@@ -157,7 +160,6 @@ narada::explore::exploreSchedules(const IRModule &M,
                                   ScheduleVisitor &Visitor) {
   obs::Span ExploreSpan("explore");
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Timer Wall;
 
   ExploreOutcome Outcome;
   std::vector<Branch> Stack;
@@ -168,21 +170,16 @@ narada::explore::exploreSchedules(const IRModule &M,
       Outcome.HitScheduleBudget = true;
       break;
     }
-    if (Options.WallBudgetSeconds > 0.0 &&
-        Wall.seconds() > Options.WallBudgetSeconds) {
-      Outcome.HitWallBudget = true;
-      break;
-    }
 
     obs::Span ScheduleSpan("schedule");
     // Containment boundary: an injected fault here unwinds out of the
     // whole exploration and is quarantined per test by detectRacesInTests,
     // never aborting sibling tests (see support/FaultInjection.h).
     fault::probe("explore.schedule");
-    DfsPolicy Policy(Forced, Options.MaxPreemptions);
+    DfsPolicy Policy(Forced);
     ExecutionObserver *Observer =
         Visitor.beginSchedule(Outcome.SchedulesRun);
-    Result<TestRun> Run = runTest(M, TestName, Policy, Options.RandSeed,
+    Result<TestRun> Run = runTest(M, TestName, Policy, ExploreRandSeed,
                                   Observer, Options.MaxSteps);
     if (!Run)
       return Run.error();
@@ -204,7 +201,7 @@ narada::explore::exploreSchedules(const IRModule &M,
       Pending += B.Untried.size();
     Metrics.gauge("explore.sleepset_peak").max(static_cast<int64_t>(Pending));
 
-    if (!Visitor.endSchedule(Policy.trace(TestName, Options.RandSeed),
+    if (!Visitor.endSchedule(Policy.trace(TestName, ExploreRandSeed),
                              *Run)) {
       Outcome.Stopped = true;
       break;

@@ -40,7 +40,7 @@ Result<CompiledProgram> narada::compileProgram(std::string_view Source) {
 Result<TestRun> narada::runTest(const IRModule &M,
                                 const std::string &TestName,
                                 SchedulingPolicy &Policy, uint64_t RandSeed,
-                                ExecutionObserver *Extra,
+                                ExecutionObserver *Observer,
                                 uint64_t MaxSteps) {
   const IRFunction *Test = M.findTest(TestName);
   if (!Test)
@@ -55,11 +55,7 @@ Result<TestRun> narada::runTest(const IRModule &M,
   VM Machine(M, RandSeed);
 
   TraceRecorder Recorder(Run.TheTrace);
-  ObserverMux Mux;
-  Mux.add(&Recorder);
-  if (Extra)
-    Mux.add(Extra);
-  Machine.setObserver(&Mux);
+  Machine.setObserver(Observer ? Observer : &Recorder);
 
   Machine.spawnThread(Test, {});
   Run.Result = runToCompletion(Machine, Policy, MaxSteps);

@@ -7,8 +7,9 @@
 /// \file
 /// Convenience entry points tying the front end, IR and VM together:
 /// compile MiniJava source, run a test under a scheduling policy, and get
-/// back the recorded trace.  Used by the Narada pipeline, the detectors,
-/// the examples and the benchmark harness.
+/// back the recorded trace (or feed the events to the caller's observer).
+/// Used by the Narada pipeline, the detectors, the examples and the
+/// benchmark harness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,17 +42,19 @@ Result<CompiledProgram> compileProgram(std::string_view Source);
 
 /// The outcome of one test execution.
 struct TestRun {
-  Trace TheTrace;
+  Trace TheTrace; ///< Every event; empty when runTest had an observer.
   RunResult Result;
   uint64_t HeapHash = 0; ///< Heap state hash after the run.
 };
 
-/// Runs test \p TestName under \p Policy, recording every event.
-/// \p Extra, if non-null, also observes the execution (e.g. a detector).
-/// \p RandSeed seeds the VM's rand() stream.
+/// Runs test \p TestName under \p Policy.  \p Observer, if non-null, is
+/// the only observer of the execution (e.g. a detector, or an ObserverMux
+/// of several) and TheTrace stays empty; a caller that wants the trace as
+/// well adds a TraceRecorder to its mux.  Without an observer every event
+/// is recorded into TheTrace.  \p RandSeed seeds the VM's rand() stream.
 Result<TestRun> runTest(const IRModule &M, const std::string &TestName,
                         SchedulingPolicy &Policy, uint64_t RandSeed = 1,
-                        ExecutionObserver *Extra = nullptr,
+                        ExecutionObserver *Observer = nullptr,
                         uint64_t MaxSteps = 1'000'000);
 
 /// Runs test \p TestName single-threaded (round-robin degenerates to

@@ -135,7 +135,6 @@ NaradaOptions pipelineOptions(const CliArgs &Args, const std::string &Source,
   NaradaOptions Options;
   Options.FocusClass = Args.FocusClass;
   Options.Jobs = Args.Jobs;
-  Options.StaticPrefilter = Args.StaticPrefilter;
   Options.StaticRank = Args.StaticRank;
   Options.Isolate = Args.Isolate;
   if (Hooks && Hooks->PipelineFor)
@@ -492,8 +491,6 @@ void emitObservability(const CliArgs &Args, const RunState &State) {
       Meta.addOption("worker_mem_limit",
                      std::to_string(Args.Isolate.WorkerMemLimitMb));
   }
-  if (Args.StaticPrefilter)
-    Meta.addOption("static_prefilter", "1");
   if (Args.StaticRank)
     Meta.addOption("static_rank", "1");
   if (Args.StaticOnly)
@@ -517,7 +514,7 @@ void emitObservability(const CliArgs &Args, const RunState &State) {
                    std::to_string(Args.Detect.ConfirmAttempts));
     if (Args.Detect.Mode == ExplorationMode::Systematic)
       Meta.addOption("max_schedules",
-                     std::to_string(Args.Detect.Explore.MaxSchedules));
+                     std::to_string(Args.Detect.MaxSchedules));
     if (!Args.ReplayPath.empty())
       Meta.addOption("replay", Args.ReplayPath);
     if (!Args.Detect.WitnessDir.empty())
@@ -626,8 +623,6 @@ int serve::usage() {
       "                        (open in Perfetto / chrome://tracing)\n"
       "  --stats               print a metrics summary to stderr\n"
       "static pre-analysis flags (see docs/STATIC.md):\n"
-      "  --static-prefilter    prune candidate pairs proven MustGuarded\n"
-      "                        (conservative; confirmed races unchanged)\n"
       "  --static-rank         synthesize most-racy candidates first\n"
       "  --static-only         classify pairs purely statically and print\n"
       "                        the triage listing (no seed tests needed)\n"
@@ -716,11 +711,11 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
       }
     } else if (Arg == "--max-schedules" && I + 1 < Argc) {
       const char *Value = Argv[++I];
-      if (!parsePositiveCount(Value, Args.Detect.Explore.MaxSchedules))
+      if (!parsePositiveCount(Value, Args.Detect.MaxSchedules))
         std::fprintf(stderr,
                      "warning: ignoring invalid --max-schedules '%s' "
                      "(keeping %u)\n",
-                     Value, Args.Detect.Explore.MaxSchedules);
+                     Value, Args.Detect.MaxSchedules);
     } else if (Arg == "--confirm-attempts" && I + 1 < Argc) {
       const char *Value = Argv[++I];
       if (!parsePositiveCount(Value, Args.Detect.ConfirmAttempts))
@@ -733,8 +728,6 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
       Args.Detect.Mode = ExplorationMode::Replay;
     } else if (Arg == "--emit-witness" && I + 1 < Argc) {
       Args.Detect.WitnessDir = Argv[++I];
-    } else if (Arg == "--static-prefilter") {
-      Args.StaticPrefilter = true;
     } else if (Arg == "--static-rank") {
       Args.StaticRank = true;
     } else if (Arg == "--static-only") {

@@ -54,7 +54,6 @@ struct CliArgs {
   DetectOptions Detect;              ///< Watchdog/budget knobs for detect.
   std::string PolicyName = "random"; ///< --policy: scheduler for `run`.
   std::string ReplayPath;            ///< --replay: witness trace to re-run.
-  bool StaticPrefilter = false;      ///< --static-prefilter.
   bool StaticRank = false;           ///< --static-rank.
   bool StaticOnly = false;           ///< --static-only: triage, no seeds.
   bool GenSeeds = false;             ///< --gen-seeds: synthesize the seeds.

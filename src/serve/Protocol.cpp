@@ -28,7 +28,6 @@ void serve::encodeSubmit(wire::RecordWriter &W, const CliArgs &Args,
   W.addBool("stats", Args.Stats);
   W.add("jobs", static_cast<uint64_t>(Args.Jobs));
   W.add("policy", Args.PolicyName);
-  W.addBool("static_prefilter", Args.StaticPrefilter);
   W.addBool("static_rank", Args.StaticRank);
   W.addBool("static_only", Args.StaticOnly);
   W.addBool("gen_seeds", Args.GenSeeds);
@@ -61,7 +60,6 @@ Result<SubmitRequest> serve::decodeSubmit(const wire::RecordReader &In) {
   Args.Stats = In.getBool("stats", false);
   Args.Jobs = static_cast<unsigned>(In.getU64("jobs", 1));
   Args.PolicyName = In.getOr("policy", "random");
-  Args.StaticPrefilter = In.getBool("static_prefilter", false);
   Args.StaticRank = In.getBool("static_rank", false);
   Args.StaticOnly = In.getBool("static_only", false);
   Args.GenSeeds = In.getBool("gen_seeds", false);

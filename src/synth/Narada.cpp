@@ -120,7 +120,7 @@ narada::runNarada(std::string_view LibrarySource,
   // Optional static pre-analysis: per-method must-lockset summaries over
   // the lowered module (same lowering the detectors run on, so static
   // labels line up with dynamic ones).
-  if (Options.StaticPrefilter || Options.StaticRank) {
+  if (Options.StaticRank) {
     obs::Span StaticSpan("staticrace", &Out.Stages.StaticRaceSeconds);
     Out.Static = std::make_shared<const staticrace::ModuleSummary>(
         Options.Caches && Options.Caches->Summarize
@@ -136,7 +136,6 @@ narada::runNarada(std::string_view LibrarySource,
     PairGenOptions PairOptions;
     PairOptions.FocusClass = Options.FocusClass;
     PairOptions.Static = Out.Static.get();
-    PairOptions.StaticPrefilter = Options.StaticPrefilter;
     PairOptions.StaticRank = Options.StaticRank;
     Out.Pairs = generatePairs(Out.Analysis, PairOptions);
     Metrics.counter("synth.pairs_generated").inc(Out.Pairs.size());

@@ -80,12 +80,7 @@ struct NaradaOptions {
   /// for every value — see synth/ParallelDriver.h.
   unsigned Jobs = 1;
   /// Run the static race pre-analysis (src/staticrace/) over the lowered
-  /// module and drop candidate pairs it proves MustGuarded before
-  /// derivation.  Conservative: the generated pair set is unchanged (see
-  /// docs/STATIC.md), only provably serialized candidates disappear from
-  /// the candidate space.
-  bool StaticPrefilter = false;
-  /// Run the pre-analysis and stable-sort candidate pairs most-racy-first
+  /// module and stable-sort candidate pairs most-racy-first
   /// (MayRace < Unknown < MustGuarded) before synthesis; byte-identical
   /// across --jobs because ranking happens before the parallel stage.
   bool StaticRank = false;
@@ -173,8 +168,8 @@ struct NaradaResult {
   std::vector<SynthesizedTestInfo> Tests;
   /// Pairs that could not be synthesized, with structured reasons.
   std::vector<SkippedPair> Skipped;
-  /// Static per-method summaries; null unless StaticPrefilter/StaticRank
-  /// ran.  Shared so callers can annotate detection output.
+  /// Static per-method summaries; null unless StaticRank ran.  Shared so
+  /// callers can annotate detection output.
   std::shared_ptr<const staticrace::ModuleSummary> Static;
   /// The exact source text Program was compiled from (normalized library +
   /// seeds + synthesized tests) — what an isolated detect worker recompiles

@@ -72,7 +72,7 @@ narada::generatePairs(const AnalysisResult &Analysis,
   for (const AccessRecord &R : Analysis.Accesses) {
     if (!Options.FocusClass.empty() && R.ClassName != Options.FocusClass)
       continue;
-    if (Options.DiscardConstructorAccesses && R.InConstructor) {
+    if (R.InConstructor) {
       Metrics.counter("pairgen.accesses_dropped.constructor").inc();
       continue;
     }
@@ -98,58 +98,35 @@ narada::generatePairs(const AnalysisResult &Analysis,
   };
 
   const staticrace::ModuleSummary *Static = Options.Static;
-  const bool Prefilter = Static && Options.StaticPrefilter;
-  std::set<std::string> PrunedKeys;
-
-  auto MakePair = [&](const AccessRecord &A, const AccessRecord &B) {
-    RacyPair Pair;
-    Pair.First = MakeSide(A);
-    Pair.Second = MakeSide(B);
-    Pair.Field = A.Field;
-    Pair.FieldClassName = A.FieldClassName;
-    return Pair;
-  };
 
   for (const auto &[FieldKey, Records] : ByField) {
     for (const AccessRecord *A : Records) {
-      // Every generated pair is anchored on an unprotected access; with
-      // the prefilter on, protected anchors are still scanned so the
-      // guarded candidate space can be counted as pruned.
-      const bool Anchor = A->Unprotected;
-      if (!Anchor && !Prefilter)
+      // Every generated pair is anchored on an unprotected access.
+      if (!A->Unprotected)
         continue;
       for (const AccessRecord *B : Records) {
         if (!A->IsWrite && !B->IsWrite) {
-          if (Anchor)
-            Metrics.counter("pairgen.candidates_rejected.read_read").inc();
+          Metrics.counter("pairgen.candidates_rejected.read_read").inc();
           continue; // Read-read never races.
         }
-        std::optional<staticrace::PairVerdict> Verdict;
-        if (Static)
-          Verdict = staticrace::classifyRecordPair(*Static, *A, *B);
-        if (Prefilter &&
-            Verdict == staticrace::PairVerdict::MustGuarded) {
-          // Provably serialized under the staged sharing: prune before
-          // the dynamic feasibility checks even look at it.
-          PrunedKeys.insert(MakePair(*A, *B).key());
-          continue;
-        }
-        if (!Anchor)
-          continue; // Scanned for pruning accounting only.
         if (locksCollideUnderSharing(*A, *B)) {
           Metrics.counter("pairgen.candidates_rejected.lock_collision")
               .inc();
           continue;
         }
 
-        RacyPair Pair = MakePair(*A, *B);
-        if (Verdict) {
-          Pair.Verdict = *Verdict;
+        RacyPair Pair;
+        Pair.First = MakeSide(*A);
+        Pair.Second = MakeSide(*B);
+        Pair.Field = A->Field;
+        Pair.FieldClassName = A->FieldClassName;
+        if (Static) {
+          Pair.Verdict = staticrace::classifyRecordPair(*Static, *A, *B);
           Pair.Classified = true;
           // No counter here: certification must not perturb the pinned
           // bench counters of the default pipeline (triage counts it).
           Pair.CertifiedMustRace =
-              *Verdict == staticrace::PairVerdict::MayRace &&
+              Pair.Verdict == staticrace::PairVerdict::MayRace &&
               staticrace::certifyRecordPair(*Static, *A, *B) ==
                   staticrace::PairVerdict::MustRace;
         }
@@ -160,16 +137,6 @@ narada::generatePairs(const AnalysisResult &Analysis,
   }
 
   if (Static) {
-    if (Prefilter) {
-      // Count keys that exist *only* in the pruned space: a key that some
-      // other (unprotected, non-guarded) record combination still
-      // generated was not removed from the pipeline.
-      size_t Pruned = 0;
-      for (const std::string &Key : PrunedKeys)
-        if (!Seen.count(Key))
-          ++Pruned;
-      Metrics.counter("staticrace.pairs_pruned").inc(Pruned);
-    }
     size_t Unknowns = 0;
     for (const RacyPair &Pair : Pairs)
       if (Pair.Verdict == staticrace::PairVerdict::Unknown)

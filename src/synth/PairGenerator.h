@@ -39,20 +39,15 @@ struct ModuleSummary;
 struct PairGenOptions {
   /// Restrict to accesses whose invoked method belongs to this class
   /// (empty = all classes).  Matches the paper's per-class evaluation.
+  /// Accesses inside constructors are always dropped (paper §4).
   std::string FocusClass;
-  /// Drop pairs whose accesses happen inside constructors (paper §4).
-  bool DiscardConstructorAccesses = true;
 
   /// Static module summary; when set every generated pair carries a
   /// staticrace::PairVerdict.  Null leaves generation byte-identical to
-  /// the classic (dynamic-only) behaviour.
+  /// the classic (dynamic-only) behaviour.  No generated pair is ever
+  /// MustGuarded, because its anchor was dynamically unprotected (see
+  /// docs/STATIC.md, Soundness), so the summary never changes the set.
   const staticrace::ModuleSummary *Static = nullptr;
-  /// With Static: additionally scan the protected candidate space and drop
-  /// every candidate classified MustGuarded before the feasibility checks,
-  /// counting distinct pruned keys in "staticrace.pairs_pruned".  Sound by
-  /// construction: a MustGuarded candidate is serialized under the staged
-  /// sharing (see docs/STATIC.md), so the generated pair set is unchanged.
-  bool StaticPrefilter = false;
   /// With Static: stable-sort the generated pairs MayRace < Unknown <
   /// MustGuarded (original order within a rank), so the synthesis budget
   /// is spent on the most promising candidates first.  Runs before the

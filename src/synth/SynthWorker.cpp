@@ -28,7 +28,6 @@ void synthworker::encodeSynthOptions(wire::RecordWriter &W,
                                      const NaradaOptions &Options) {
   W.add("focus_class", Options.FocusClass);
   W.addBool("enable_context_derivation", Options.EnableContextDerivation);
-  W.addBool("static_prefilter", Options.StaticPrefilter);
   W.addBool("static_rank", Options.StaticRank);
   W.addBool("derivation_seed_set", Options.DerivationSeed.has_value());
   if (Options.DerivationSeed)
@@ -40,7 +39,6 @@ void synthworker::decodeSynthOptions(const wire::RecordReader &In,
   Options.FocusClass = In.getOr("focus_class", "");
   Options.EnableContextDerivation =
       In.getBool("enable_context_derivation", true);
-  Options.StaticPrefilter = In.getBool("static_prefilter", false);
   Options.StaticRank = In.getBool("static_rank", false);
   if (In.getBool("derivation_seed_set", false))
     Options.DerivationSeed = In.getU64("derivation_seed");
@@ -139,14 +137,13 @@ Service::create(const wire::RecordReader &Setup) {
     S.Analysis.merge(analyzeTrace(Run->TheTrace, *S.Program.Info));
   }
 
-  if (S.Options.StaticPrefilter || S.Options.StaticRank)
+  if (S.Options.StaticRank)
     S.Static = std::make_shared<const staticrace::ModuleSummary>(
         staticrace::summarizeModule(*S.Program.Module));
 
   PairGenOptions PairOptions;
   PairOptions.FocusClass = S.Options.FocusClass;
   PairOptions.Static = S.Static.get();
-  PairOptions.StaticPrefilter = S.Options.StaticPrefilter;
   PairOptions.StaticRank = S.Options.StaticRank;
   S.Pairs = generatePairs(S.Analysis, PairOptions);
 

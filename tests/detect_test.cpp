@@ -251,6 +251,30 @@ TEST(DetectorTest, HBReportsCarryBothLabels) {
   EXPECT_TRUE(SawPair);
 }
 
+TEST(RunTestTest, ObserverRunsWithoutTheTraceRecorder) {
+  // runTest feeds the caller's observer alone: a detector run records no
+  // trace yet still sees the race, and a run without an observer records
+  // the trace.  Both execute the same schedule.
+  auto P = compileOk(RacyCounter);
+  for (uint64_t Seed = 0; Seed < 16; ++Seed) {
+    HBDetector HB;
+    RandomPolicy Observed(Seed);
+    Result<TestRun> WithHB = runTest(*P.Module, "racy", Observed, 1, &HB);
+    ASSERT_TRUE(WithHB.hasValue());
+    if (HB.races().empty())
+      continue;
+    EXPECT_TRUE(WithHB->TheTrace.empty());
+
+    RandomPolicy Recorded(Seed);
+    Result<TestRun> Plain = runTest(*P.Module, "racy", Recorded);
+    ASSERT_TRUE(Plain.hasValue());
+    EXPECT_FALSE(Plain->TheTrace.empty());
+    EXPECT_EQ(Plain->Result.Steps, WithHB->Result.Steps);
+    return;
+  }
+  FAIL() << "no seed exposed the counter race";
+}
+
 //===----------------------------------------------------------------------===//
 // RaceFuzzer-style confirmation
 //===----------------------------------------------------------------------===//

@@ -223,9 +223,9 @@ TEST(PairGenTest2, ConstructorAccessesDiscardedByDefault) {
   Analysis.Accesses.push_back(R);
   EXPECT_TRUE(generatePairs(Analysis).empty());
 
-  PairGenOptions KeepCtors;
-  KeepCtors.DiscardConstructorAccesses = false;
-  EXPECT_FALSE(generatePairs(Analysis, KeepCtors).empty());
+  // Control: the same access outside a constructor pairs with itself.
+  Analysis.Accesses.back().InConstructor = false;
+  EXPECT_FALSE(generatePairs(Analysis).empty());
 }
 
 TEST(PairGenTest2, FocusClassFilters) {

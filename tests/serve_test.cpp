@@ -234,7 +234,7 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   Args.Detect.RandomRuns = 5;
   Args.Detect.MaxSteps = 1234;
   Args.Detect.Mode = ExplorationMode::Systematic;
-  Args.Detect.Explore.MaxSchedules = 33;
+  Args.Detect.MaxSchedules = 33;
 
   wire::RecordWriter W;
   encodeSubmit(W, Args, "class A { }\ntest t { }\n");
@@ -252,7 +252,6 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   EXPECT_EQ(Out.Jobs, 4u);
   EXPECT_TRUE(Out.Stats);
   EXPECT_TRUE(Out.StaticRank);
-  EXPECT_FALSE(Out.StaticPrefilter);
   EXPECT_TRUE(Out.GenSeeds);
   EXPECT_EQ(Out.GenRounds, 3u);
   EXPECT_EQ(Out.GenBudget, 9u);
@@ -262,7 +261,7 @@ TEST(ServeProtocolTest, SubmitRoundTrips) {
   EXPECT_EQ(Out.Detect.RandomRuns, 5u);
   EXPECT_EQ(Out.Detect.MaxSteps, 1234u);
   EXPECT_EQ(Out.Detect.Mode, ExplorationMode::Systematic);
-  EXPECT_EQ(Out.Detect.Explore.MaxSchedules, 33u);
+  EXPECT_EQ(Out.Detect.MaxSchedules, 33u);
   // The report path itself never crosses the wire.
   EXPECT_TRUE(Out.ReportPath.empty());
 }

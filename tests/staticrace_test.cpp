@@ -9,21 +9,22 @@
 //     store invalidation, and the path-depth cap.
 //  2. Classifier verdicts on compiled corpus modules: the known-guarded
 //     C7 pairs come back MustGuarded, the paper's actual races MayRace.
-//  3. The soundness contract the prefilter rests on: enabling
-//     --static-prefilter never changes the generated pair set, and no
-//     dynamically confirmed race is ever statically MustGuarded.
+//  3. The soundness invariant the verdicts rest on: attaching the summary
+//     never changes the generated pair set, no generated pair is
+//     MustGuarded, and no dynamically confirmed race is either.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
 #include "detect/Detection.h"
-#include "obs/Metrics.h"
 #include "staticrace/LocksetAnalysis.h"
 #include "staticrace/PairClassifier.h"
 #include "synth/Narada.h"
 #include "synth/PairGenerator.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace narada;
 using staticrace::Controllability;
@@ -355,7 +356,7 @@ class Counter {
 }
 
 //===----------------------------------------------------------------------===//
-// Prefilter soundness over the corpus.
+// Static soundness over the corpus.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -367,59 +368,77 @@ std::vector<std::string> pairKeys(const std::vector<RacyPair> &Pairs) {
   return Keys;
 }
 
-Result<NaradaResult> runPipeline(const CorpusEntry &E, bool Prefilter,
-                                 bool Rank = false, unsigned Jobs = 1) {
+std::vector<std::string> sortedPairKeys(const std::vector<RacyPair> &Pairs) {
+  std::vector<std::string> Keys = pairKeys(Pairs);
+  std::sort(Keys.begin(), Keys.end());
+  return Keys;
+}
+
+Result<NaradaResult> runPipeline(const CorpusEntry &E, bool Rank = false,
+                                 unsigned Jobs = 1) {
   NaradaOptions Options;
   Options.FocusClass = E.ClassName;
   Options.Jobs = Jobs;
-  Options.StaticPrefilter = Prefilter;
   Options.StaticRank = Rank;
   return runNarada(E.Source, E.SeedNames, Options);
 }
 
-uint64_t prunedCounter() {
-  return obs::MetricsRegistry::global()
-      .counter("staticrace.pairs_pruned")
-      .value();
+/// Candidate record combinations pair generation considers (same field,
+/// focus class, controllable, outside constructors, at least one write)
+/// that the static summary classifies MustGuarded.
+unsigned mustGuardedCandidates(const NaradaResult &R,
+                               const std::string &FocusClass) {
+  std::vector<const AccessRecord *> Records;
+  for (const AccessRecord &A : R.Analysis.Accesses)
+    if (A.ClassName == FocusClass && A.BasePath && !A.InConstructor)
+      Records.push_back(&A);
+  unsigned Count = 0;
+  for (const AccessRecord *A : Records)
+    for (const AccessRecord *B : Records)
+      if (A->FieldClassName == B->FieldClassName && A->Field == B->Field &&
+          (A->IsWrite || B->IsWrite) &&
+          staticrace::classifyRecordPair(*R.Static, *A, *B) ==
+              PairVerdict::MustGuarded)
+        ++Count;
+  return Count;
 }
 
 } // namespace
 
-TEST(PrefilterSoundnessTest, PairSetIdenticalAcrossCorpus) {
-  // The acceptance bar: enabling the prefilter never changes the
-  // generated pair set on any corpus class, and at least 3 classes see a
-  // nonzero pruned count (the pruning is real, not vacuous).
-  unsigned ClassesWithPruning = 0;
+TEST(StaticSoundnessTest, NoGeneratedPairIsMustGuarded) {
+  // The invariant the static verdicts rest on: with the summary attached,
+  // pair generation yields exactly the pairs of a plain run, and none of
+  // them is MustGuarded — generated pairs have a dynamically unprotected
+  // anchor and survive the lock-collision check.  At least 3 classes have
+  // MustGuarded candidates, so the invariant is not vacuous.
+  unsigned ClassesWithGuarded = 0;
   for (const CorpusEntry &E : corpus()) {
-    Result<NaradaResult> Base = runPipeline(E, /*Prefilter=*/false);
-    ASSERT_TRUE(Base.hasValue()) << E.Id;
+    Result<NaradaResult> Plain = runPipeline(E);
+    ASSERT_TRUE(Plain.hasValue()) << E.Id;
+    Result<NaradaResult> Ranked = runPipeline(E, /*Rank=*/true);
+    ASSERT_TRUE(Ranked.hasValue()) << E.Id;
+    ASSERT_TRUE(Ranked->Static) << E.Id;
 
-    uint64_t Before = prunedCounter();
-    Result<NaradaResult> Pre = runPipeline(E, /*Prefilter=*/true);
-    ASSERT_TRUE(Pre.hasValue()) << E.Id;
-    uint64_t Pruned = prunedCounter() - Before;
-
-    EXPECT_EQ(pairKeys(Base->Pairs), pairKeys(Pre->Pairs))
-        << E.Id << ": prefilter changed the generated pair set";
-    // A sound prefilter can never label a *generated* pair MustGuarded:
-    // generated pairs have a dynamically unprotected anchor.
-    for (const RacyPair &P : Pre->Pairs)
-      if (P.Classified)
-        EXPECT_NE(P.Verdict, PairVerdict::MustGuarded)
-            << E.Id << ": " << P.str();
-    if (Pruned > 0)
-      ++ClassesWithPruning;
+    EXPECT_EQ(sortedPairKeys(Plain->Pairs), sortedPairKeys(Ranked->Pairs))
+        << E.Id << ": the static summary changed the generated pair set";
+    for (const RacyPair &P : Ranked->Pairs) {
+      EXPECT_TRUE(P.Classified) << E.Id << ": " << P.str();
+      EXPECT_NE(P.Verdict, PairVerdict::MustGuarded)
+          << E.Id << ": " << P.str();
+    }
+    if (mustGuardedCandidates(*Ranked, E.ClassName) > 0)
+      ++ClassesWithGuarded;
   }
-  EXPECT_GE(ClassesWithPruning, 3u);
+  EXPECT_GE(ClassesWithGuarded, 3u);
 }
 
-TEST(PrefilterSoundnessTest, ConfirmedRacesNeverMustGuarded) {
+TEST(StaticSoundnessTest, ConfirmedRacesNeverMustGuarded) {
   // Dynamic ground truth vs static verdicts: run full detection on C7
-  // with the prefilter on; every confirmed race must classify MayRace or
-  // Unknown.  A MustGuarded confirmed race would mean the prefilter can
-  // prune a real race.
+  // with the summary attached; every confirmed race must classify MayRace
+  // or Unknown.  A MustGuarded confirmed race would mean the summary
+  // calls a real race serialized.
   const CorpusEntry &E = *findCorpusEntry("C7");
-  Result<NaradaResult> R = runPipeline(E, /*Prefilter=*/true);
+  Result<NaradaResult> R = runPipeline(E, /*Rank=*/true);
   ASSERT_TRUE(R.hasValue());
 
   std::vector<TestDetectJob> Jobs;
@@ -450,9 +469,9 @@ TEST(PrefilterSoundnessTest, ConfirmedRacesNeverMustGuarded) {
 TEST(StaticRankTest, RankedPairsAreDeterministicAcrossJobs) {
   const CorpusEntry &E = *findCorpusEntry("C5");
   Result<NaradaResult> J1 =
-      runPipeline(E, /*Prefilter=*/true, /*Rank=*/true, /*Jobs=*/1);
+      runPipeline(E, /*Rank=*/true, /*Jobs=*/1);
   Result<NaradaResult> J4 =
-      runPipeline(E, /*Prefilter=*/true, /*Rank=*/true, /*Jobs=*/4);
+      runPipeline(E, /*Rank=*/true, /*Jobs=*/4);
   ASSERT_TRUE(J1.hasValue());
   ASSERT_TRUE(J4.hasValue());
   EXPECT_EQ(pairKeys(J1->Pairs), pairKeys(J4->Pairs));
@@ -463,8 +482,7 @@ TEST(StaticRankTest, RankedPairsAreDeterministicAcrossJobs) {
 
 TEST(StaticRankTest, MayRaceSortsBeforeUnknown) {
   const CorpusEntry &E = *findCorpusEntry("C7");
-  Result<NaradaResult> R =
-      runPipeline(E, /*Prefilter=*/false, /*Rank=*/true);
+  Result<NaradaResult> R = runPipeline(E, /*Rank=*/true);
   ASSERT_TRUE(R.hasValue());
   auto RankOf = [](const RacyPair &P) {
     if (!P.Classified)

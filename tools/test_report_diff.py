@@ -141,7 +141,7 @@ class DiffReportsTest(unittest.TestCase):
                          ([], [], [], []))
 
     def test_staticrace_phase_is_config_dependent(self):
-        # A --static-prefilter run has a staticrace span a plain run lacks.
+        # A --static-rank run has a staticrace span a plain run lacks.
         base = report({"pipeline": 1.0})
         cur = report({"pipeline": 1.0, "pipeline.staticrace": 0.2})
         regressions, warnings, notes, _ = report_diff.diff_reports(
@@ -164,7 +164,7 @@ class DiffRacesTest(unittest.TestCase):
         self.assertEqual(report_diff.diff_races(base, cur), [])
 
     def test_verdict_annotations_are_ignored(self):
-        # A prefiltered run annotates verdicts a dynamic-only baseline
+        # A --static-rank run annotates verdicts a dynamic-only baseline
         # leaves blank; identity and reproduced flags are what must match.
         base = report(races=[(k, r, "") for k, r, _ in self.RACES])
         cur = report(races=self.RACES)
