@@ -176,16 +176,10 @@ inline void runDetection(ClassRun &Run, const DetectOptions &Options) {
 /// Phase-1 schedule source for the bench drivers: the NARADA_EXPLORE env
 /// var ("random", "pct", "systematic"), defaulting to random — the
 /// measured configuration of the paper's tables.  Unparseable values fall
-/// back to random with a warning, mirroring benchJobs(); "replay" needs a
-/// trace file and has no env spelling.
+/// back to random with a warning, mirroring benchJobs().
 inline ExplorationMode benchExplorationMode() {
-  return env::readOr(
-      "NARADA_EXPLORE", ExplorationMode::Random,
-      [](const char *Text, ExplorationMode &Mode) {
-        return parseExplorationMode(Text, Mode) &&
-               Mode != ExplorationMode::Replay;
-      },
-      "using random schedules");
+  return env::readOr("NARADA_EXPLORE", ExplorationMode::Random,
+                     parseExplorationMode, "using random schedules");
 }
 
 /// Moderate detection options keeping the full-corpus benches fast.

@@ -41,8 +41,9 @@ struct DetectIsolateContext {
   /// The exact source the detection module was compiled from
   /// (NaradaResult::FinalSource) — workers recompile it.
   std::string FinalSource;
-  /// Schedule trace file for Mode == Replay (empty = none); workers
-  /// reload it themselves, traces do not travel over the wire.
+  /// Schedule trace file to replay (empty = none); workers reload it
+  /// themselves into DetectOptions::ReplayTrace, traces do not travel over
+  /// the wire.
   std::string ReplayPath;
 };
 

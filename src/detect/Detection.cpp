@@ -37,8 +37,6 @@ bool narada::parseExplorationMode(const std::string &Name,
     Mode = ExplorationMode::PCT;
   else if (Name == "systematic")
     Mode = ExplorationMode::Systematic;
-  else if (Name == "replay")
-    Mode = ExplorationMode::Replay;
   else
     return false;
   return true;
@@ -52,8 +50,6 @@ const char *narada::explorationModeName(ExplorationMode Mode) {
     return "pct";
   case ExplorationMode::Systematic:
     return "systematic";
-  case ExplorationMode::Replay:
-    return "replay";
   }
   narada_unreachable("unknown exploration mode");
 }
@@ -153,51 +149,6 @@ private:
   ObserverMux Mux;
 };
 
-/// One confirmation execution; returns the policy (confirmed or not) plus
-/// the run outcome.
-struct ConfirmRun {
-  bool Confirmed = false;
-  RaceReport Report;
-  uint64_t HeapHash = 0;
-  uint64_t ObservedHash = 0; ///< Values seen at the racy accesses.
-  bool Faulted = false;
-  bool Deadlocked = false;
-  bool HitStepLimit = false; ///< Ran into its step budget.
-};
-
-Result<ConfirmRun> runConfirm(const IRModule &M, const std::string &TestName,
-                              const std::string &LabelA,
-                              const std::string &LabelB, uint64_t Seed,
-                              bool SecondFirst, uint64_t MaxSteps) {
-  obs::Span ScheduleSpan("schedule");
-  obs::MetricsRegistry::global().counter("detect.schedules_explored").inc();
-  obs::MetricsRegistry::global().counter("detect.confirm_runs").inc();
-  fault::probe("detect.confirm");
-  if (fault::timeoutProbe("detect.confirm.steps")) {
-    // Simulated watchdog expiry: report a step-limited, unconfirmed run
-    // without executing, so tests can drive the quarantine path.
-    ConfirmRun Out;
-    Out.HitStepLimit = true;
-    return Out;
-  }
-  RaceConfirmPolicy Policy(LabelA, LabelB, Seed, SecondFirst);
-  AccessValueHasher Hasher(LabelA, LabelB);
-  Result<TestRun> Run = runTest(M, TestName, Policy, /*RandSeed=*/1, &Hasher,
-                                MaxSteps);
-  if (!Run)
-    return Run.error();
-  ConfirmRun Out;
-  Out.Confirmed = Policy.confirmed();
-  if (Out.Confirmed)
-    Out.Report = Policy.confirmedRace();
-  Out.HeapHash = Run->HeapHash;
-  Out.ObservedHash = Hasher.hash();
-  Out.Faulted = Run->Result.Faulted;
-  Out.Deadlocked = Run->Result.Deadlocked;
-  Out.HitStepLimit = Run->Result.HitStepLimit;
-  return Out;
-}
-
 /// Latches that some run of the test hit its step ceiling, and counts it.
 void noteStepLimit(TestDetectionResult &Out) {
   Out.SawStepLimit = true;
@@ -225,6 +176,389 @@ void quarantine(TestDetectionResult &Out, const std::string &TestName,
                   Out.QuarantineReason.c_str());
 }
 
+/// What one confirmation run (one access order of one pair) observed.
+struct ConfirmRun {
+  bool Confirmed = false;
+  RaceReport Report;
+  uint64_t HeapHash = 0;
+  uint64_t ObservedHash = 0; ///< Values seen at the racy accesses.
+  bool Misbehaved = false;   ///< Faulted or deadlocked.
+  bool HitStepLimit = false; ///< Ran into its step budget.
+};
+
+using LabelPairs = std::vector<std::pair<std::string, std::string>>;
+
+/// The §5 protocol for one test, in three parts: a schedule source chosen
+/// once from the options (random or PCT, systematic chained to random, or
+/// the replay of one trace) feeds every phase-1 schedule through one run
+/// step; then one exit path fills Detected, emits witnesses, and confirms
+/// and classifies every candidate pair.  A quarantine anywhere leaves
+/// through the same exit path with the results gathered so far.
+class TestDetection {
+public:
+  TestDetection(const IRModule &M, const std::string &TestName,
+                const DetectOptions &Options)
+      : M(M), TestName(TestName), Options(Options),
+        RecordWitnesses(!Options.WitnessDir.empty() && !Options.ReplayTrace) {
+  }
+
+  /// The exit path: Detected -> witness -> confirm -> classify.
+  Result<TestDetectionResult> run(const LabelPairs &Hints) {
+    if (Status S = runSchedules(); !S.ok())
+      return S.error();
+    for (const auto &[Key, Report] : ByKey)
+      Out.Detected.push_back(Report);
+    Metrics.counter("detect.races_detected").inc(Out.Detected.size());
+    NARADA_LOG_DEBUG("detect %s: %zu distinct races after %u phase-1 "
+                     "schedules",
+                     TestName.c_str(), Out.Detected.size(), Out.SchedulesRun);
+    if (Out.Quarantined)
+      return std::move(Out);
+    if (Status S = emitWitnesses(); !S.ok())
+      return S.error();
+    if (Status S = confirmAndClassify(Hints); !S.ok())
+      return S.error();
+    return std::move(Out);
+  }
+
+private:
+  /// Part 1: the schedule source.
+  Status runSchedules() {
+    if (Options.ReplayTrace)
+      return runReplay();
+    if (Options.Mode == ExplorationMode::Systematic)
+      return runSystematic();
+    return runRandom();
+  }
+
+  /// Random and PCT runs, each seeded by its run index (also the
+  /// systematic fallback, which runs random).  A run that exhausts its
+  /// step budget quarantines the test at once — a runaway schedule must
+  /// never pass for a clean one.
+  Status runRandom() {
+    for (unsigned RunIdx = 0; RunIdx < Options.RandomRuns; ++RunIdx) {
+      if (wallExpired()) {
+        quarantineWall();
+        return Status::success();
+      }
+      obs::Span ScheduleSpan("schedule");
+      Metrics.counter("detect.schedules_explored").inc();
+      ++Out.SchedulesRun;
+      fault::probe("detect.random_run");
+      bool HitStepLimit = true;
+      if (fault::timeoutProbe("detect.random.steps")) {
+        noteStepLimit(Out); // Simulated watchdog expiry: nothing runs.
+      } else {
+        RandomPolicy Random(Options.BaseSeed + RunIdx);
+        PCTPolicy PCT(Options.BaseSeed + RunIdx);
+        Result<RunResult> Run = Options.Mode == ExplorationMode::PCT
+                                    ? step(PCT, /*RandSeed=*/1)
+                                    : step(Random, /*RandSeed=*/1);
+        if (!Run)
+          return Run.error();
+        HitStepLimit = Run->HitStepLimit;
+      }
+      if (HitStepLimit) {
+        quarantineStepLimit(formatString("random-schedule run %u", RunIdx));
+        return Status::success();
+      }
+    }
+    return Status::success();
+  }
+
+  /// The bounded DFS, chained to the random runs when the schedule budget
+  /// ran out before the pruned space was covered.  A step-limited schedule
+  /// is latched (its prefix branches were still expanded) but does not
+  /// quarantine.
+  Status runSystematic() {
+    struct Visitor final : explore::ScheduleVisitor {
+      TestDetection &D;
+      explicit Visitor(TestDetection &D) : D(D) {}
+      Result<bool> runSchedule(SchedulingPolicy &Policy,
+                               uint64_t RandSeed) override {
+        if (Result<RunResult> Run = D.step(Policy, RandSeed); !Run)
+          return Run.error();
+        return !D.wallExpired();
+      }
+    } V(*this);
+
+    explore::ExploreOptions ExOpts;
+    ExOpts.MaxSchedules = Options.MaxSchedules;
+    Result<explore::ExploreOutcome> Outcome =
+        explore::exploreSchedules(ExOpts, V);
+    if (!Outcome)
+      return Outcome.error();
+    Out.SchedulesRun += Outcome->SchedulesRun;
+    Out.SchedulesPruned += Outcome->Pruned;
+    Out.ExplorationExhausted = Outcome->Exhausted;
+    if (wallExpired()) {
+      quarantineWall();
+      return Status::success();
+    }
+    if (Outcome->Exhausted)
+      return Status::success();
+    Metrics.counter("explore.fallbacks").inc();
+    NARADA_LOG_DEBUG("systematic exploration of %s hit its budget after "
+                     "%u schedules; falling back to %u random runs",
+                     TestName.c_str(), Outcome->SchedulesRun,
+                     Options.RandomRuns);
+    return runRandom();
+  }
+
+  /// Exactly one run of DetectOptions::ReplayTrace.  Like a systematic
+  /// schedule, a step-limited replay is latched but does not quarantine.
+  Status runReplay() {
+    const explore::ScheduleTrace &Trace = *Options.ReplayTrace;
+    if (Trace.TestName != TestName)
+      return Error(formatString(
+          "schedule trace was recorded for test '%s', not '%s'",
+          Trace.TestName.c_str(), TestName.c_str()));
+    obs::Span ScheduleSpan("schedule");
+    Metrics.counter("detect.schedules_explored").inc();
+    Metrics.counter("explore.replays").inc();
+    ++Out.SchedulesRun;
+    explore::ReplayPolicy Policy(Trace);
+    if (Result<RunResult> Run = step(Policy, Trace.RandSeed); !Run)
+      return Run.error();
+    if (Policy.diverged())
+      NARADA_LOG_WARN("replay of %s diverged from its recorded schedule "
+                      "(trace from a different module or build?)",
+                      TestName.c_str());
+    return Status::success();
+  }
+
+  /// Part 2: the phase-1 run step of every schedule source.  One run under
+  /// \p Policy with fresh detectors; its outcome is latched into Out and,
+  /// if it finished, every race it reported is noted with this schedule as
+  /// the race's first witness.
+  Result<RunResult> step(SchedulingPolicy &Policy, uint64_t RandSeed) {
+    // Recording delegates every pick, so wrapping is transparent to Policy.
+    explore::RecordingPolicy Recorder(Policy);
+    Result<RunResult> Run = detectOnce(
+        RecordWitnesses ? Recorder : Policy, RandSeed,
+        [&](const RaceReport &R) {
+          if (!ByKey.emplace(R.key(), R).second || !RecordWitnesses)
+            return;
+          explore::ScheduleTrace T = Recorder.trace(TestName, RandSeed);
+          T.RaceKeys = {R.key()};
+          WitnessTraces.emplace(R.key(), std::move(T));
+        });
+    if (Run)
+      latchOutcome(Out, *Run);
+    return Run;
+  }
+
+  /// The detector/run half of a step, shared with the witness oracle: one
+  /// run under \p Policy with fresh detectors attached, then, if the run
+  /// finished within its step budget, \p OnRace for every race they
+  /// reported.
+  template <typename Fn>
+  Result<RunResult> detectOnce(SchedulingPolicy &Policy, uint64_t RandSeed,
+                               Fn &&OnRace) const {
+    DetectorSet Detectors(Options);
+    Result<TestRun> Run = execute(Policy, RandSeed, Detectors.observer());
+    if (!Run)
+      return Run.error();
+    if (!Run->Result.HitStepLimit)
+      Detectors.forEachRace(OnRace);
+    return std::move(Run->Result);
+  }
+
+  /// Every run of the test, in every phase, starts here: under the step
+  /// budget.
+  Result<TestRun> execute(SchedulingPolicy &Policy, uint64_t RandSeed,
+                          ExecutionObserver *Observer) const {
+    return runTest(M, TestName, Policy, RandSeed, Observer, Options.MaxSteps);
+  }
+
+  /// Part 3, after Detected: minimizes each race's first-witness schedule
+  /// to a minimal preemption set, then writes it as a replayable trace
+  /// file.  WitnessTraces is a sorted map and file names are derived from
+  /// (test, index), so output is deterministic and --jobs-independent.
+  Status emitWitnesses() {
+    if (WitnessTraces.empty())
+      return Status::success();
+    obs::Span WitnessSpan("witness");
+    unsigned Index = 0;
+    for (auto &[Key, Trace] : WitnessTraces) {
+      // The oracle replays a relaxed segment candidate and hands back the
+      // exact re-recorded schedule iff this race key still manifests.
+      explore::MinimizeOracle Oracle =
+          [&, &Key = Key, &Trace = Trace](
+              const std::vector<explore::SegmentReplayPolicy::Segment>
+                  &Candidate) -> std::optional<explore::ScheduleTrace> {
+        explore::SegmentReplayPolicy Inner(Candidate);
+        explore::RecordingPolicy Recorder(Inner);
+        bool Seen = false;
+        Result<RunResult> Run =
+            detectOnce(Recorder, Trace.RandSeed, [&](const RaceReport &R) {
+              Seen = Seen || R.key() == Key;
+            });
+        if (!Run || !Seen)
+          return std::nullopt;
+        return Recorder.trace(TestName, Trace.RandSeed);
+      };
+      explore::MinimizeOutcome Min = explore::minimizeWitness(Trace, Oracle);
+      Metrics.counter("explore.minimized_steps").inc(Min.PreemptionsRemoved);
+      std::string Path = formatString("%s/%s.w%u.trace",
+                                      Options.WitnessDir.c_str(),
+                                      TestName.c_str(), Index);
+      ++Index;
+      if (Status S = Min.Minimized.writeFile(Path); !S.ok())
+        return S;
+      Metrics.counter("explore.witnesses").inc();
+      Out.WitnessFiles.push_back(std::move(Path));
+      NARADA_LOG_DEBUG("witness for %s written to %s (%u -> %u "
+                       "preemptions, %u candidates)",
+                       Key.c_str(), Out.WitnessFiles.back().c_str(),
+                       Trace.preemptions(), Min.Minimized.preemptions(),
+                       Min.CandidatesTried);
+    }
+    return Status::success();
+  }
+
+  /// Phases 2 + 3: confirms and classifies each detected race (and each
+  /// synthesizer hint that no phase-1 schedule happened to expose).  A
+  /// quarantine stops here, keeping Detected and the Races classified so
+  /// far.
+  Status confirmAndClassify(const LabelPairs &Hints) {
+    std::set<std::string> ConfirmTargets;
+    LabelPairs Pairs;
+    for (const RaceReport &R : Out.Detected) {
+      if (ConfirmTargets.insert(R.key()).second)
+        Pairs.emplace_back(R.FirstLabel, R.SecondLabel);
+    }
+    for (const auto &[A, B] : Hints) {
+      std::string HintKey = A < B ? A + "~" + B : B + "~" + A;
+      if (ConfirmTargets.insert("hint:" + HintKey).second) {
+        Pairs.emplace_back(A, B);
+        Metrics.counter("detect.hint_targets").inc();
+      }
+    }
+
+    std::set<std::string> Classified;
+    for (const auto &[LabelA, LabelB] : Pairs) {
+      if (wallExpired()) {
+        quarantineWall();
+        return Status::success();
+      }
+      obs::Span ConfirmSpan("confirm");
+      ConfirmedRace Entry;
+      for (unsigned Attempt = 0; Attempt < Options.ConfirmAttempts;
+           ++Attempt) {
+        Metrics.counter("detect.confirm_attempts").inc();
+        uint64_t Seed = Options.BaseSeed + 1000 + Attempt;
+        Result<ConfirmRun> First =
+            confirmOnce(LabelA, LabelB, Seed, /*SecondFirst=*/false);
+        if (!First)
+          return First.error();
+        if (First->HitStepLimit)
+          return Status::success(); // Quarantined by confirmOnce.
+        if (!First->Confirmed)
+          continue;
+        Result<ConfirmRun> Second =
+            confirmOnce(LabelA, LabelB, Seed, /*SecondFirst=*/true);
+        if (!Second)
+          return Second.error();
+        if (Second->HitStepLimit)
+          return Status::success();
+
+        Entry.Reproduced = true;
+        Entry.Report = First->Report;
+        Entry.HashFirstOrder = First->HeapHash;
+        Entry.HashSecondOrder =
+            Second->Confirmed ? Second->HeapHash : First->HeapHash;
+        bool StateDiverges =
+            Second->Confirmed && First->HeapHash != Second->HeapHash;
+        bool ObservationDiverges =
+            Second->Confirmed && First->ObservedHash != Second->ObservedHash;
+        Entry.Harmful = StateDiverges || ObservationDiverges ||
+                        First->Misbehaved || Second->Misbehaved;
+        break;
+      }
+      if (!Entry.Reproduced) {
+        // Keep an unreproduced placeholder so counts line up with Detected.
+        Entry.Report.FirstLabel = LabelA;
+        Entry.Report.SecondLabel = LabelB;
+        Entry.Report.Detector = "confirm";
+      }
+      if (Classified.insert(Entry.Report.key()).second)
+        Out.Races.push_back(std::move(Entry));
+    }
+    Metrics.counter("detect.races_reproduced").inc(Out.reproducedCount());
+    Metrics.counter("detect.races_harmful").inc(Out.harmfulCount());
+    Metrics.counter("detect.races_benign").inc(Out.benignCount());
+    return Status::success();
+  }
+
+  /// One confirmation run of \p LabelA~\p LabelB in one access order.  A
+  /// step-limited run quarantines the test — the confirmation can not be
+  /// trusted to have run clean.
+  Result<ConfirmRun> confirmOnce(const std::string &LabelA,
+                                 const std::string &LabelB, uint64_t Seed,
+                                 bool SecondFirst) {
+    obs::Span ScheduleSpan("schedule");
+    Metrics.counter("detect.schedules_explored").inc();
+    Metrics.counter("detect.confirm_runs").inc();
+    fault::probe("detect.confirm");
+    ConfirmRun Order;
+    if (fault::timeoutProbe("detect.confirm.steps")) {
+      Order.HitStepLimit = true; // Simulated watchdog expiry: nothing runs.
+    } else {
+      RaceConfirmPolicy Policy(LabelA, LabelB, Seed, SecondFirst);
+      AccessValueHasher Hasher(LabelA, LabelB);
+      Result<TestRun> Run = execute(Policy, /*RandSeed=*/1, &Hasher);
+      if (!Run)
+        return Run.error();
+      Order.Confirmed = Policy.confirmed();
+      if (Order.Confirmed)
+        Order.Report = Policy.confirmedRace();
+      Order.HeapHash = Run->HeapHash;
+      Order.ObservedHash = Hasher.hash();
+      Order.Misbehaved = Run->Result.Faulted || Run->Result.Deadlocked;
+      Order.HitStepLimit = Run->Result.HitStepLimit;
+    }
+    if (Order.HitStepLimit) {
+      noteStepLimit(Out);
+      quarantineStepLimit(formatString("confirmation of %s~%s%s",
+                                       LabelA.c_str(), LabelB.c_str(),
+                                       SecondFirst ? " (reversed order)" : ""));
+    }
+    return Order;
+  }
+
+  /// The watchdogs.  The wall clock is checked at run boundaries (a
+  /// budget of 0 is unlimited); a runaway single run is bounded by the
+  /// step budget, and random and confirmation runs share its quarantine.
+  bool wallExpired() const {
+    return Options.WallBudgetSeconds > 0.0 &&
+           Wall.seconds() > Options.WallBudgetSeconds;
+  }
+  void quarantineWall() {
+    quarantine(Out, TestName,
+               formatString("wall-clock budget of %.3fs exceeded after %.3fs",
+                            Options.WallBudgetSeconds, Wall.seconds()));
+  }
+  void quarantineStepLimit(const std::string &Run) {
+    quarantine(Out, TestName,
+               formatString("%s exceeded its step budget of %llu steps",
+                            Run.c_str(),
+                            static_cast<unsigned long long>(Options.MaxSteps)));
+  }
+
+  const IRModule &M;
+  const std::string &TestName;
+  const DetectOptions &Options;
+  /// A replayed schedule already is a witness: replay records none.
+  const bool RecordWitnesses;
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  Timer Wall;
+  TestDetectionResult Out;
+  std::map<std::string, RaceReport> ByKey;
+  /// First-witness schedule per race key (when RecordWitnesses).
+  std::map<std::string, explore::ScheduleTrace> WitnessTraces;
+};
+
 } // namespace
 
 TestDetectionResult narada::quarantinedResult(const std::string &TestName,
@@ -241,358 +575,9 @@ Result<TestDetectionResult> narada::detectRacesInTest(
     const DetectOptions &Options,
     const std::vector<std::pair<std::string, std::string>> &Hints) {
   obs::Span TestSpan("test");
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  Metrics.counter("detect.tests_run").inc();
+  obs::MetricsRegistry::global().counter("detect.tests_run").inc();
   fault::probe("detect.test");
-
-  TestDetectionResult Out;
-  std::map<std::string, RaceReport> ByKey;
-
-  // Watchdog: per-test wall-clock budget (0 = unlimited), checked at run
-  // boundaries — a runaway single run is bounded by the step budget below.
-  Timer Wall;
-  auto WallExpired = [&] {
-    return Options.WallBudgetSeconds > 0.0 &&
-           Wall.seconds() > Options.WallBudgetSeconds;
-  };
-  auto WallReason = [&] {
-    return formatString("wall-clock budget of %.3fs exceeded after %.3fs",
-                        Options.WallBudgetSeconds, Wall.seconds());
-  };
-
-  // Phase 1: pick schedules per Options.Mode with the passive detectors
-  // attached.  First-witness traces are kept per race key so witness
-  // emission works uniformly across modes.
-  const bool WantWitness = !Options.WitnessDir.empty();
-  std::map<std::string, explore::ScheduleTrace> WitnessTraces;
-  std::optional<Error> PhaseError;
-
-  auto NoteRace = [&](const RaceReport &R,
-                      const explore::ScheduleTrace &Trace) {
-    if (!ByKey.emplace(R.key(), R).second || !WantWitness)
-      return;
-    explore::ScheduleTrace T = Trace;
-    T.RaceKeys = {R.key()};
-    WitnessTraces.emplace(R.key(), std::move(T));
-  };
-
-  // The randomized loop (modes Random and PCT, and the Systematic
-  // fallback).  A run that exhausts its step budget quarantines the test at
-  // once — a runaway schedule must never pass for a clean one.  Returns
-  // false when the caller must return immediately (either PhaseError is
-  // set or Out was quarantined).
-  auto runRandomPhase = [&]() -> bool {
-    for (unsigned RunIdx = 0; RunIdx < Options.RandomRuns; ++RunIdx) {
-      if (WallExpired()) {
-        quarantine(Out, TestName, WallReason());
-        return false;
-      }
-      obs::Span ScheduleSpan("schedule");
-      Metrics.counter("detect.schedules_explored").inc();
-      ++Out.SchedulesRun;
-      fault::probe("detect.random_run");
-      RunResult Outcome;
-      if (fault::timeoutProbe("detect.random.steps")) {
-        Outcome.HitStepLimit = true; // Simulated watchdog expiry.
-      } else {
-        DetectorSet Detectors(Options);
-        RandomPolicy Random(Options.BaseSeed + RunIdx);
-        PCTPolicy PCT(Options.BaseSeed + RunIdx);
-        SchedulingPolicy &Inner =
-            Options.Mode == ExplorationMode::PCT
-                ? static_cast<SchedulingPolicy &>(PCT)
-                : static_cast<SchedulingPolicy &>(Random);
-        // Recording delegates every pick, so wrapping is transparent to the
-        // inner policy's schedule.
-        explore::RecordingPolicy Recorder(Inner);
-        SchedulingPolicy &Policy =
-            WantWitness ? static_cast<SchedulingPolicy &>(Recorder) : Inner;
-        Result<TestRun> Run = runTest(M, TestName, Policy, /*RandSeed=*/1,
-                                      Detectors.observer(), Options.MaxSteps);
-        if (!Run) {
-          PhaseError = Run.error();
-          return false;
-        }
-        Outcome = std::move(Run->Result);
-        if (!Outcome.HitStepLimit) {
-          explore::ScheduleTrace Trace;
-          if (WantWitness)
-            Trace = Recorder.trace(TestName, /*RandSeed=*/1);
-          Detectors.forEachRace(
-              [&](const RaceReport &R) { NoteRace(R, Trace); });
-        }
-      }
-      latchOutcome(Out, Outcome);
-      if (Outcome.HitStepLimit) {
-        quarantine(Out, TestName,
-                   formatString("random-schedule run %u exceeded its step "
-                                "budget of %llu steps",
-                                RunIdx,
-                                static_cast<unsigned long long>(
-                                    Options.MaxSteps)));
-        return false;
-      }
-    }
-    return true;
-  };
-
-  // The bounded DFS (mode Systematic), degrading to the randomized loop
-  // when the schedule budget was hit before the pruned space was covered.
-  auto runSystematicPhase = [&]() -> bool {
-    struct Visitor final : explore::ScheduleVisitor {
-      const DetectOptions &Options;
-      TestDetectionResult &Out;
-      std::function<void(const RaceReport &, const explore::ScheduleTrace &)>
-          Note;
-      std::function<bool()> Expired;
-      std::optional<DetectorSet> Detectors;
-
-      Visitor(const DetectOptions &Options, TestDetectionResult &Out,
-              decltype(Note) Note, decltype(Expired) Expired)
-          : Options(Options), Out(Out), Note(std::move(Note)),
-            Expired(std::move(Expired)) {}
-
-      ExecutionObserver *beginSchedule(unsigned) override {
-        Detectors.emplace(Options);
-        return Detectors->observer();
-      }
-
-      bool endSchedule(const explore::ScheduleTrace &Trace,
-                       const TestRun &Run) override {
-        // A step-limited schedule is recorded (its prefix branches were
-        // still expanded) but the test can no longer count as clean.
-        latchOutcome(Out, Run.Result);
-        Detectors->forEachRace([&](const RaceReport &R) { Note(R, Trace); });
-        return !Expired();
-      }
-    };
-
-    explore::ExploreOptions ExOpts;
-    ExOpts.MaxSchedules = Options.MaxSchedules;
-    ExOpts.MaxSteps = Options.MaxSteps;
-    Visitor V(Options, Out, NoteRace, WallExpired);
-    Result<explore::ExploreOutcome> Outcome =
-        explore::exploreSchedules(M, TestName, ExOpts, V);
-    if (!Outcome) {
-      PhaseError = Outcome.error();
-      return false;
-    }
-    Out.SchedulesRun += Outcome->SchedulesRun;
-    Out.SchedulesPruned += Outcome->Pruned;
-    Out.ExplorationExhausted = Outcome->Exhausted;
-    if (WallExpired()) {
-      quarantine(Out, TestName, WallReason());
-      return false;
-    }
-    if (!Outcome->Exhausted) {
-      // Schedule budget hit: the bounded space was too large, fall back
-      // to the randomized policies over what remains.
-      Metrics.counter("explore.fallbacks").inc();
-      NARADA_LOG_DEBUG("systematic exploration of %s hit its budget after "
-                       "%u schedules; falling back to %u random runs",
-                       TestName.c_str(), Outcome->SchedulesRun,
-                       Options.RandomRuns);
-      return runRandomPhase();
-    }
-    return true;
-  };
-
-  // Mode Replay: exactly one execution of the recorded trace, under the
-  // same step budget as every other run.
-  auto runReplayPhase = [&]() -> bool {
-    if (!Options.ReplayTrace) {
-      PhaseError = Error("replay mode requires a schedule trace");
-      return false;
-    }
-    if (Options.ReplayTrace->TestName != TestName) {
-      PhaseError = Error(formatString(
-          "schedule trace was recorded for test '%s', not '%s'",
-          Options.ReplayTrace->TestName.c_str(), TestName.c_str()));
-      return false;
-    }
-    obs::Span ScheduleSpan("schedule");
-    Metrics.counter("detect.schedules_explored").inc();
-    Metrics.counter("explore.replays").inc();
-    ++Out.SchedulesRun;
-    DetectorSet Detectors(Options);
-    explore::ReplayPolicy Policy(*Options.ReplayTrace);
-    Result<TestRun> Run =
-        runTest(M, TestName, Policy, Options.ReplayTrace->RandSeed,
-                Detectors.observer(), Options.MaxSteps);
-    if (!Run) {
-      PhaseError = Run.error();
-      return false;
-    }
-    if (Policy.diverged())
-      NARADA_LOG_WARN("replay of %s diverged from its recorded schedule "
-                      "(trace from a different module or build?)",
-                      TestName.c_str());
-    latchOutcome(Out, Run->Result);
-    Detectors.forEachRace(
-        [&](const RaceReport &R) { ByKey.emplace(R.key(), R); });
-    return true;
-  };
-
-  bool PhaseOk = false;
-  switch (Options.Mode) {
-  case ExplorationMode::Random:
-  case ExplorationMode::PCT:
-    PhaseOk = runRandomPhase();
-    break;
-  case ExplorationMode::Systematic:
-    PhaseOk = runSystematicPhase();
-    break;
-  case ExplorationMode::Replay:
-    PhaseOk = runReplayPhase();
-    break;
-  }
-  if (!PhaseOk) {
-    if (PhaseError)
-      return *PhaseError;
-    return Out; // Quarantined with partial results attached.
-  }
-
-  for (const auto &[Key, Report] : ByKey)
-    Out.Detected.push_back(Report);
-  Metrics.counter("detect.races_detected").inc(Out.Detected.size());
-  NARADA_LOG_DEBUG("detect %s: %zu distinct races after %u phase-1 "
-                   "schedules",
-                   TestName.c_str(), Out.Detected.size(), Out.SchedulesRun);
-
-  // Witness emission: minimize each race's first-witness schedule to a
-  // minimal preemption set, then write it as a replayable trace file.
-  // WitnessTraces is a sorted map and file names are derived from
-  // (test, index), so output is deterministic and --jobs-independent.
-  if (WantWitness && !WitnessTraces.empty()) {
-    obs::Span WitnessSpan("witness");
-    unsigned Index = 0;
-    for (auto &[Key, Trace] : WitnessTraces) {
-      // The oracle replays a relaxed segment candidate and hands back the
-      // exact re-recorded schedule iff this race key still manifests.
-      explore::MinimizeOracle Oracle =
-          [&, &Key = Key, &Trace = Trace](
-              const std::vector<explore::SegmentReplayPolicy::Segment>
-                  &Candidate) -> std::optional<explore::ScheduleTrace> {
-        DetectorSet Detectors(Options);
-        explore::SegmentReplayPolicy Inner(Candidate);
-        explore::RecordingPolicy Recorder(Inner);
-        Result<TestRun> Run =
-            runTest(M, TestName, Recorder, Trace.RandSeed,
-                    Detectors.observer(), Options.MaxSteps);
-        if (!Run || Run->Result.HitStepLimit)
-          return std::nullopt;
-        bool Seen = false;
-        Detectors.forEachRace(
-            [&](const RaceReport &R) { Seen = Seen || R.key() == Key; });
-        if (!Seen)
-          return std::nullopt;
-        return Recorder.trace(TestName, Trace.RandSeed);
-      };
-      explore::MinimizeOutcome Min = explore::minimizeWitness(Trace, Oracle);
-      Metrics.counter("explore.minimized_steps").inc(Min.PreemptionsRemoved);
-      std::string Path = formatString("%s/%s.w%u.trace",
-                                      Options.WitnessDir.c_str(),
-                                      TestName.c_str(), Index);
-      ++Index;
-      if (Status S = Min.Minimized.writeFile(Path); !S.ok())
-        return S.error();
-      Metrics.counter("explore.witnesses").inc();
-      Out.WitnessFiles.push_back(std::move(Path));
-      NARADA_LOG_DEBUG("witness for %s written to %s (%u -> %u "
-                       "preemptions, %u candidates)",
-                       Key.c_str(), Out.WitnessFiles.back().c_str(),
-                       Trace.preemptions(), Min.Minimized.preemptions(),
-                       Min.CandidatesTried);
-    }
-  }
-
-  // Phase 2 + 3: confirm and classify each detected race (and each
-  // synthesizer hint that no random schedule happened to expose).
-  std::set<std::string> ConfirmTargets;
-  std::vector<std::pair<std::string, std::string>> LabelPairs;
-  for (const RaceReport &R : Out.Detected) {
-    if (ConfirmTargets.insert(R.key()).second)
-      LabelPairs.emplace_back(R.FirstLabel, R.SecondLabel);
-  }
-  for (const auto &[A, B] : Hints) {
-    std::string HintKey = A < B ? A + "~" + B : B + "~" + A;
-    if (ConfirmTargets.insert("hint:" + HintKey).second) {
-      LabelPairs.emplace_back(A, B);
-      Metrics.counter("detect.hint_targets").inc();
-    }
-  }
-
-  std::set<std::string> Classified;
-  for (const auto &[LabelA, LabelB] : LabelPairs) {
-    if (WallExpired()) {
-      quarantine(Out, TestName, WallReason());
-      return Out;
-    }
-    obs::Span ConfirmSpan("confirm");
-    ConfirmedRace Entry;
-    for (unsigned Attempt = 0; Attempt < Options.ConfirmAttempts;
-         ++Attempt) {
-      Metrics.counter("detect.confirm_attempts").inc();
-      uint64_t Seed = Options.BaseSeed + 1000 + Attempt;
-      // Runs one access order; a step-limited run quarantines the test —
-      // this confirmation can not be trusted to have run clean.
-      auto RunOrder = [&](bool SecondFirst) -> Result<ConfirmRun> {
-        Result<ConfirmRun> Run = runConfirm(M, TestName, LabelA, LabelB, Seed,
-                                            SecondFirst, Options.MaxSteps);
-        if (Run && Run->HitStepLimit) {
-          noteStepLimit(Out);
-          quarantine(Out, TestName,
-                     formatString("confirmation of %s~%s%s exceeded its "
-                                  "step budget of %llu steps",
-                                  LabelA.c_str(), LabelB.c_str(),
-                                  SecondFirst ? " (reversed order)" : "",
-                                  static_cast<unsigned long long>(
-                                      Options.MaxSteps)));
-        }
-        return Run;
-      };
-      Result<ConfirmRun> FirstOrder = RunOrder(/*SecondFirst=*/false);
-      if (!FirstOrder)
-        return FirstOrder.error();
-      if (FirstOrder->HitStepLimit)
-        return Out; // Quarantined by RunOrder.
-      if (!FirstOrder->Confirmed)
-        continue;
-      Result<ConfirmRun> SecondOrder = RunOrder(/*SecondFirst=*/true);
-      if (!SecondOrder)
-        return SecondOrder.error();
-      if (SecondOrder->HitStepLimit)
-        return Out;
-
-      Entry.Reproduced = true;
-      Entry.Report = FirstOrder->Report;
-      Entry.HashFirstOrder = FirstOrder->HeapHash;
-      Entry.HashSecondOrder =
-          SecondOrder->Confirmed ? SecondOrder->HeapHash
-                                 : FirstOrder->HeapHash;
-      bool StateDiverges = SecondOrder->Confirmed &&
-                           FirstOrder->HeapHash != SecondOrder->HeapHash;
-      bool ObservationDiverges =
-          SecondOrder->Confirmed &&
-          FirstOrder->ObservedHash != SecondOrder->ObservedHash;
-      bool Misbehaved = FirstOrder->Faulted || FirstOrder->Deadlocked ||
-                        SecondOrder->Faulted || SecondOrder->Deadlocked;
-      Entry.Harmful = StateDiverges || ObservationDiverges || Misbehaved;
-      break;
-    }
-    if (!Entry.Reproduced) {
-      // Keep an unreproduced placeholder so counts line up with Detected.
-      Entry.Report.FirstLabel = LabelA;
-      Entry.Report.SecondLabel = LabelB;
-      Entry.Report.Detector = "confirm";
-    }
-    if (Classified.insert(Entry.Report.key()).second)
-      Out.Races.push_back(std::move(Entry));
-  }
-  Metrics.counter("detect.races_reproduced").inc(Out.reproducedCount());
-  Metrics.counter("detect.races_harmful").inc(Out.harmfulCount());
-  Metrics.counter("detect.races_benign").inc(Out.benignCount());
-  return Out;
+  return TestDetection(M, TestName, Options).run(Hints);
 }
 
 namespace {

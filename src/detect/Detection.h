@@ -8,10 +8,9 @@
 /// Runs a synthesized multithreaded test through the full detector stack,
 /// mirroring the paper's §5 protocol (Table 5):
 ///
-///  1. execute the test under several random schedules with the
-///     happens-before and lockset detectors attached; the union of their
-///     reports (deduplicated by static label pair) is the set of *detected*
-///     races;
+///  1. execute the test under a set of schedules with the happens-before
+///     and lockset detectors attached; the union of their reports
+///     (deduplicated by static label pair) is the set of *detected* races;
 ///  2. each detected race is handed to the RaceFuzzer-style confirmation
 ///     scheduler, which tries to *reproduce* it by pausing one thread at
 ///     the access;
@@ -19,6 +18,15 @@
 ///     heap states, faults or deadlocks classify it *harmful*, identical
 ///     states *benign* (e.g. racy writes of identical constant values —
 ///     the paper's C6 reset() pattern).
+///
+/// The code has three parts.  A *schedule source*, chosen once from the
+/// options, yields the phase-1 schedules: random or PCT runs seeded by run
+/// index, the systematic DFS (src/explore/) chained to random runs when its
+/// schedule budget runs out, or the replay of one recorded trace.  Every
+/// schedule goes through one *run step* (fresh detectors, the step budget,
+/// outcome latching, race and first-witness noting).  One *exit path* then
+/// fills Detected, writes the witnesses, and confirms and classifies;
+/// every quarantine leaves through it with the results gathered so far.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,18 +49,18 @@ namespace detectworker {
 struct DetectIsolateContext;
 } // namespace detectworker
 
-/// How phase 1 chooses the schedules it runs (see src/explore/).
+/// How phase 1 chooses the schedules it runs (see src/explore/), unless
+/// DetectOptions::ReplayTrace is set.
 enum class ExplorationMode {
   Random,     ///< RandomRuns executions under RandomPolicy (the default).
   PCT,        ///< RandomRuns executions under PCTPolicy.
   Systematic, ///< Bounded DFS via explore::exploreSchedules; degrades to
               ///< the random loop when the schedule budget is hit before
               ///< the bounded space is exhausted.
-  Replay,     ///< Exactly one execution of DetectOptions::ReplayTrace.
 };
 
-/// Parses "random" / "pct" / "systematic" / "replay"; false on anything
-/// else (\p Mode untouched).
+/// Parses "random" / "pct" / "systematic"; false on anything else
+/// (\p Mode untouched).
 bool parseExplorationMode(const std::string &Name, ExplorationMode &Mode);
 const char *explorationModeName(ExplorationMode Mode);
 
@@ -68,17 +76,19 @@ struct DetectOptions {
   uint64_t MaxSteps = 400'000;
   bool UseHB = true;
   bool UseLockSet = true;
-  /// Schedule source for phase 1.  Confirmation (phases 2 + 3) is
-  /// identical in every mode.
+  /// Schedule source for phase 1 when ReplayTrace is unset.  Confirmation
+  /// (phases 2 + 3) is identical in every mode.
   ExplorationMode Mode = ExplorationMode::Random;
   /// Schedule budget for Mode == Systematic.  Each schedule runs under
   /// MaxSteps above, like every other run.
   unsigned MaxSchedules = 256;
   /// When non-empty, every race found in phase 1 emits a minimized,
-  /// replayable witness trace file under this directory (all modes).
+  /// replayable witness trace file under this directory — under random,
+  /// PCT and systematic schedules; a replay writes none.
   std::string WitnessDir;
-  /// The trace to execute when Mode == Replay.  Shared because
-  /// DetectOptions is copied per worker; the trace is read-only.
+  /// When set, phase 1 is exactly one execution of this trace, whatever
+  /// Mode says.  Shared because DetectOptions is copied per worker; the
+  /// trace is read-only.
   std::shared_ptr<const explore::ScheduleTrace> ReplayTrace;
   /// Per-test wall-clock budget in seconds; exceeded => the test is
   /// quarantined with whatever results were already gathered.  0 disables
@@ -108,10 +118,11 @@ struct TestDetectionResult {
   /// The test was pulled from the run: a random or confirmation run
   /// exhausted its step budget, the wall budget ran out, or its detection
   /// crashed (exception contained by detectRacesInTests).  A test
-  /// quarantined during phase 1 keeps its flags and SchedulesRun but drops
-  /// its phase-1 detections (Detected stays empty); one quarantined during
-  /// confirmation keeps Detected and the Races classified so far.  Either
-  /// way the test must not be counted as having run clean.
+  /// quarantined during phase 1 keeps its flags, SchedulesRun and the
+  /// races its phase-1 runs detected (Detected), but nothing is confirmed
+  /// (Races stays empty); one quarantined during confirmation keeps
+  /// Detected and the Races classified so far.  Either way the test must
+  /// not be counted as having run clean.
   bool Quarantined = false;
   std::string QuarantineReason; ///< Human-readable; empty when !Quarantined.
   /// Phase-1 schedule accounting: executions performed (random runs,

@@ -68,12 +68,10 @@ public:
       // Deterministic replay of the shared prefix; the branches along it
       // already live on the caller's stack.
       Chosen = Forced[Step];
-      if (!contains(Runnable, Chosen)) {
-        // Cannot happen for prefixes recorded against this module/test;
-        // degrade rather than crash if it somehow does.
-        Diverged = true;
+      // Cannot fail for prefixes recorded against this module/test;
+      // degrade rather than crash if it somehow does.
+      if (!contains(Runnable, Chosen))
         Chosen = Runnable.front();
-      }
     } else {
       bool PrevRunnable = Prev != NoThread && contains(Runnable, Prev);
       ThreadId Default = PrevRunnable ? Prev : Runnable.front();
@@ -116,10 +114,8 @@ public:
       }
       Chosen = Default;
     }
-    if (Prev != NoThread && Chosen != Prev && contains(Runnable, Prev)) {
-      PreemptSteps.push_back(Step);
+    if (Prev != NoThread && Chosen != Prev && contains(Runnable, Prev))
       ++Preemptions;
-    }
     Prev = Chosen;
     Picks.push_back(Chosen);
     return Chosen;
@@ -128,35 +124,21 @@ public:
   const std::vector<ThreadId> &picks() const { return Picks; }
   std::vector<Branch> takeNewBranches() { return std::move(NewBranches); }
   uint64_t pruned() const { return Pruned; }
-  bool diverged() const { return Diverged; }
-
-  ScheduleTrace trace(const std::string &TestName, uint64_t RandSeed) const {
-    ScheduleTrace Out;
-    Out.TestName = TestName;
-    Out.RandSeed = RandSeed;
-    Out.Picks = Picks;
-    Out.PreemptSteps = PreemptSteps;
-    return Out;
-  }
 
 private:
   const std::vector<ThreadId> &Forced;
 
   std::vector<ThreadId> Picks;
-  std::vector<uint64_t> PreemptSteps;
   std::vector<Branch> NewBranches;
   ThreadId Prev = NoThread;
   unsigned Preemptions = 0;
   uint64_t Pruned = 0;
-  bool Diverged = false;
 };
 
 } // namespace
 
 Result<ExploreOutcome>
-narada::explore::exploreSchedules(const IRModule &M,
-                                  const std::string &TestName,
-                                  const ExploreOptions &Options,
+narada::explore::exploreSchedules(const ExploreOptions &Options,
                                   ScheduleVisitor &Visitor) {
   obs::Span ExploreSpan("explore");
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
@@ -177,12 +159,9 @@ narada::explore::exploreSchedules(const IRModule &M,
     // never aborting sibling tests (see support/FaultInjection.h).
     fault::probe("explore.schedule");
     DfsPolicy Policy(Forced);
-    ExecutionObserver *Observer =
-        Visitor.beginSchedule(Outcome.SchedulesRun);
-    Result<TestRun> Run = runTest(M, TestName, Policy, ExploreRandSeed,
-                                  Observer, Options.MaxSteps);
-    if (!Run)
-      return Run.error();
+    Result<bool> Continue = Visitor.runSchedule(Policy, ExploreRandSeed);
+    if (!Continue)
+      return Continue.error();
     ++Outcome.SchedulesRun;
     Outcome.Pruned += Policy.pruned();
     Metrics.counter("explore.schedules_run").inc();
@@ -201,8 +180,7 @@ narada::explore::exploreSchedules(const IRModule &M,
       Pending += B.Untried.size();
     Metrics.gauge("explore.sleepset_peak").max(static_cast<int64_t>(Pending));
 
-    if (!Visitor.endSchedule(Policy.trace(TestName, ExploreRandSeed),
-                             *Run)) {
+    if (!*Continue) {
       Outcome.Stopped = true;
       break;
     }

@@ -37,24 +37,19 @@
 #ifndef NARADA_EXPLORE_EXPLORER_H
 #define NARADA_EXPLORE_EXPLORER_H
 
-#include "explore/ScheduleTrace.h"
-#include "runtime/Execution.h"
+#include "runtime/Scheduler.h"
 #include "support/Error.h"
-
-#include <string>
 
 namespace narada {
 namespace explore {
 
-/// The budgets bounding one systematic search.  Every schedule preempts
+/// The budget bounding one systematic search.  Every schedule preempts
 /// at most twice (the PCT/CHESS bound d = 2; yield switches are free, and
 /// races of depth d need d-1 preemptions) and runs with VM seed 1.
 struct ExploreOptions {
   /// Maximum schedules to execute before giving up on exhausting the
   /// space.  Degenerate values are still honored (1 = baseline run only).
   unsigned MaxSchedules = 256;
-  /// Per-schedule step ceiling.
-  uint64_t MaxSteps = 400'000;
 };
 
 /// What one search did and why it stopped.
@@ -68,30 +63,30 @@ struct ExploreOutcome {
   bool Stopped = false;           ///< The visitor asked to stop.
 };
 
-/// Callbacks driving one search.  The visitor owns the per-schedule
-/// observers (detectors) and decides when to stop early.
+/// Executes the schedules one search chooses.  The visitor runs each one,
+/// so it owns the test, its observers (detectors) and its step budget, and
+/// it decides when to stop early.
 class ScheduleVisitor {
 public:
   virtual ~ScheduleVisitor();
 
-  /// Called before schedule \p Index executes; the returned observer (may
-  /// be null) watches that execution.
-  virtual ExecutionObserver *beginSchedule(unsigned Index) = 0;
-
-  /// Called after a schedule ran, with the exact trace it executed.
-  /// Return false to stop the search (ExploreOutcome::Stopped).
-  virtual bool endSchedule(const ScheduleTrace &Trace, const TestRun &Run) = 0;
+  /// Runs the test once under \p Policy with VM seed \p RandSeed.  The
+  /// policy forces the search's prefix, then continues non-preemptively
+  /// while recording the branch points the search expands next.  Returns
+  /// false to stop the search (ExploreOutcome::Stopped); an error aborts
+  /// it.
+  virtual Result<bool> runSchedule(SchedulingPolicy &Policy,
+                                   uint64_t RandSeed) = 0;
 };
 
-/// Runs the bounded DFS for \p TestName over \p M.  Deterministic: the
-/// same (module, test, options) always explores the same schedules in the
-/// same order, which is what keeps per-test exploration identical across
-/// --jobs values.  Errors surface only for harness-level failures (unknown
-/// test); schedule-level misbehavior (faults, deadlocks, step limits) is
-/// reported per run through the visitor.
-Result<ExploreOutcome> exploreSchedules(const IRModule &M,
-                                        const std::string &TestName,
-                                        const ExploreOptions &Options,
+/// Runs the bounded DFS, one Visitor.runSchedule per schedule.
+/// Deterministic: the same visitor runs (same module, test and budget)
+/// yield the same schedules in the same order, which is what keeps
+/// per-test exploration identical across --jobs values.  Errors surface
+/// only from the visitor (e.g. an unknown test); schedule-level
+/// misbehavior (faults, deadlocks, step limits) is the visitor's to
+/// record.
+Result<ExploreOutcome> exploreSchedules(const ExploreOptions &Options,
                                         ScheduleVisitor &Visitor);
 
 } // namespace explore

@@ -93,7 +93,11 @@ int cmdRun(CliArgs &Args, const std::string &Source) {
                  Args.PolicyName.c_str());
     return 2;
   }
-  Result<TestRun> Run = runTest(*P->Module, Args.Names[0], *Policy);
+  // Only steps and the heap hash are printed: an empty mux keeps runTest
+  // from recording the trace.
+  ObserverMux NoObserver;
+  Result<TestRun> Run =
+      runTest(*P->Module, Args.Names[0], *Policy, /*RandSeed=*/1, &NoObserver);
   if (!Run) {
     std::fprintf(stderr, "error: %s\n", Run.error().str().c_str());
     return 1;
@@ -245,12 +249,6 @@ int cmdDetect(CliArgs &Args, const std::string &Source,
     }
     Args.Detect.ReplayTrace =
         std::make_shared<const explore::ScheduleTrace>(Trace.take());
-  }
-  if (Args.Detect.Mode == ExplorationMode::Replay &&
-      !Args.Detect.ReplayTrace) {
-    std::fprintf(stderr,
-                 "detect: --explore replay requires --replay <trace>\n");
-    return 2;
   }
   if (!Args.Detect.WitnessDir.empty()) {
     std::error_code EC;
@@ -426,7 +424,8 @@ int cmdDetect(CliArgs &Args, const std::string &Source,
     // deterministic, and keeps the printed output identical either way.
     LockOrderDetector LockOrder;
     RandomPolicy Policy(1);
-    (void)runTest(*R->Program.Module, TestName, Policy, 1, &LockOrder);
+    (void)runTest(*R->Program.Module, TestName, Policy, 1, &LockOrder,
+                  Args.Detect.MaxSteps);
     for (const LockOrderCycle &Cycle : LockOrder.cycles())
       std::printf("  %s\n", Cycle.str().c_str());
   }
@@ -509,7 +508,9 @@ void emitObservability(const CliArgs &Args, const RunState &State) {
     if (Args.Detect.WallBudgetSeconds > 0.0)
       Meta.addOption("wall_budget_seconds",
                      std::to_string(Args.Detect.WallBudgetSeconds));
-    Meta.addOption("explore", explorationModeName(Args.Detect.Mode));
+    Meta.addOption("explore", Args.ReplayPath.empty()
+                                  ? explorationModeName(Args.Detect.Mode)
+                                  : "replay");
     Meta.addOption("confirm_attempts",
                    std::to_string(Args.Detect.ConfirmAttempts));
     if (Args.Detect.Mode == ExplorationMode::Systematic)
@@ -636,10 +637,10 @@ int serve::usage() {
       "  --policy P            scheduler for `run` (default random):\n"
       "                        %s\n"
       "  --explore MODE        detect phase-1 schedules: random, pct,\n"
-      "                        systematic, replay (default random)\n"
+      "                        systematic (default random)\n"
       "  --max-schedules N     systematic schedule budget (default 256)\n"
-      "  --replay <trace>      re-run a recorded witness trace\n"
-      "                        (implies --explore replay)\n"
+      "  --replay <trace>      phase 1 re-runs this recorded witness\n"
+      "                        trace instead (overrides --explore)\n"
       "  --emit-witness <dir>  write a minimized replayable trace per\n"
       "                        phase-1 race into <dir>\n"
       "  --confirm-attempts N  scheduler seeds per confirmation\n"
@@ -705,7 +706,7 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
       if (!parseExplorationMode(Mode, Args.Detect.Mode)) {
         std::fprintf(stderr,
                      "error: unknown exploration mode '%s' (known: "
-                     "random, pct, systematic, replay)\n",
+                     "random, pct, systematic)\n",
                      Mode.c_str());
         return std::nullopt;
       }
@@ -725,7 +726,6 @@ std::optional<CliArgs> serve::parseArgs(int Argc, char **Argv) {
                      Value, Args.Detect.ConfirmAttempts);
     } else if (Arg == "--replay" && I + 1 < Argc) {
       Args.ReplayPath = Argv[++I];
-      Args.Detect.Mode = ExplorationMode::Replay;
     } else if (Arg == "--emit-witness" && I + 1 < Argc) {
       Args.Detect.WitnessDir = Argv[++I];
     } else if (Arg == "--static-rank") {

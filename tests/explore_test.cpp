@@ -73,18 +73,22 @@ bool anyKeyOnField(const std::vector<RaceReport> &Reports,
   return false;
 }
 
-/// A visitor that just collects each executed schedule's serialized trace
-/// (and optionally detects with HB).
+/// A visitor that runs \p TestName of \p M under each schedule with HB
+/// attached and collects the schedule's serialized trace and race keys.
 class CollectingVisitor : public explore::ScheduleVisitor {
 public:
-  ExecutionObserver *beginSchedule(unsigned) override {
-    HB.emplace();
-    return &*HB;
-  }
-  bool endSchedule(const explore::ScheduleTrace &Trace,
-                   const TestRun &Run) override {
-    Serialized.push_back(Trace.serialize());
-    for (const RaceReport &R : HB->races())
+  CollectingVisitor(const IRModule &M, std::string TestName)
+      : M(M), TestName(std::move(TestName)) {}
+
+  Result<bool> runSchedule(SchedulingPolicy &Policy,
+                           uint64_t RandSeed) override {
+    HBDetector HB;
+    explore::RecordingPolicy Recorder(Policy);
+    Result<TestRun> Run = runTest(M, TestName, Recorder, RandSeed, &HB);
+    if (!Run)
+      return Run.error();
+    Serialized.push_back(Recorder.trace(TestName, RandSeed).serialize());
+    for (const RaceReport &R : HB.races())
       RaceKeys.insert(R.key());
     return true;
   }
@@ -93,7 +97,8 @@ public:
   std::set<std::string> RaceKeys;
 
 private:
-  std::optional<HBDetector> HB;
+  const IRModule &M;
+  std::string TestName;
 };
 
 std::string freshTempDir(const std::string &Tag) {
@@ -229,9 +234,8 @@ TEST(ExplorerTest, SingleThreadedTestExhaustsInOneSchedule) {
   CompiledProgram P = compileOk(
       "class C { field n: int; method inc() { this.n = this.n + 1; } }\n"
       "test t { var c: C = new C; c.inc(); }\n");
-  CollectingVisitor V;
-  Result<explore::ExploreOutcome> Outcome =
-      explore::exploreSchedules(*P.Module, "t", {}, V);
+  CollectingVisitor V(*P.Module, "t");
+  Result<explore::ExploreOutcome> Outcome = explore::exploreSchedules({}, V);
   ASSERT_TRUE(Outcome.hasValue()) << Outcome.error().str();
   EXPECT_TRUE(Outcome->Exhausted);
   EXPECT_EQ(Outcome->SchedulesRun, 1u);
@@ -240,12 +244,9 @@ TEST(ExplorerTest, SingleThreadedTestExhaustsInOneSchedule) {
 
 TEST(ExplorerTest, DeterministicScheduleSequence) {
   CompiledProgram P = compileOk(NarrowWindow);
-  CollectingVisitor A, B;
-  explore::ExploreOptions Opts;
-  Result<explore::ExploreOutcome> OA =
-      explore::exploreSchedules(*P.Module, "narrow", Opts, A);
-  Result<explore::ExploreOutcome> OB =
-      explore::exploreSchedules(*P.Module, "narrow", Opts, B);
+  CollectingVisitor A(*P.Module, "narrow"), B(*P.Module, "narrow");
+  Result<explore::ExploreOutcome> OA = explore::exploreSchedules({}, A);
+  Result<explore::ExploreOutcome> OB = explore::exploreSchedules({}, B);
   ASSERT_TRUE(OA.hasValue());
   ASSERT_TRUE(OB.hasValue());
   EXPECT_EQ(OA->SchedulesRun, OB->SchedulesRun);
@@ -259,11 +260,10 @@ TEST(ExplorerTest, DeterministicScheduleSequence) {
 
 TEST(ExplorerTest, ScheduleBudgetStopsSearch) {
   CompiledProgram P = compileOk(NarrowWindow);
-  CollectingVisitor V;
+  CollectingVisitor V(*P.Module, "narrow");
   explore::ExploreOptions Opts;
   Opts.MaxSchedules = 2;
-  Result<explore::ExploreOutcome> Outcome =
-      explore::exploreSchedules(*P.Module, "narrow", Opts, V);
+  Result<explore::ExploreOutcome> Outcome = explore::exploreSchedules(Opts, V);
   ASSERT_TRUE(Outcome.hasValue());
   EXPECT_EQ(Outcome->SchedulesRun, 2u);
   EXPECT_TRUE(Outcome->HitScheduleBudget);
@@ -274,15 +274,17 @@ TEST(ExplorerTest, VisitorCanStopSearch) {
   CompiledProgram P = compileOk(NarrowWindow);
   class StopAfterOne : public CollectingVisitor {
   public:
-    bool endSchedule(const explore::ScheduleTrace &Trace,
-                     const TestRun &Run) override {
-      CollectingVisitor::endSchedule(Trace, Run);
+    using CollectingVisitor::CollectingVisitor;
+    Result<bool> runSchedule(SchedulingPolicy &Policy,
+                             uint64_t RandSeed) override {
+      Result<bool> Ran = CollectingVisitor::runSchedule(Policy, RandSeed);
+      if (!Ran)
+        return Ran;
       return false;
     }
   };
-  StopAfterOne V;
-  Result<explore::ExploreOutcome> Outcome =
-      explore::exploreSchedules(*P.Module, "narrow", {}, V);
+  StopAfterOne V(*P.Module, "narrow");
+  Result<explore::ExploreOutcome> Outcome = explore::exploreSchedules({}, V);
   ASSERT_TRUE(Outcome.hasValue());
   EXPECT_TRUE(Outcome->Stopped);
   EXPECT_EQ(Outcome->SchedulesRun, 1u);
@@ -290,9 +292,8 @@ TEST(ExplorerTest, VisitorCanStopSearch) {
 
 TEST(ExplorerTest, FindsNarrowWindowRace) {
   CompiledProgram P = compileOk(NarrowWindow);
-  CollectingVisitor V;
-  Result<explore::ExploreOutcome> Outcome =
-      explore::exploreSchedules(*P.Module, "narrow", {}, V);
+  CollectingVisitor V(*P.Module, "narrow");
+  Result<explore::ExploreOutcome> Outcome = explore::exploreSchedules({}, V);
   ASSERT_TRUE(Outcome.hasValue());
   EXPECT_TRUE(Outcome->Exhausted)
       << "the default budget should cover this tiny space";
@@ -536,7 +537,6 @@ TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
   EXPECT_EQ(Trace->TestName, "n0");
 
   DetectOptions Replay;
-  Replay.Mode = ExplorationMode::Replay;
   Replay.ConfirmAttempts = 2;
   Replay.ReplayTrace =
       std::make_shared<const explore::ScheduleTrace>(Trace.take());
@@ -562,6 +562,47 @@ TEST(WitnessRoundTripTest, WitnessReplaysToIdenticalRaceReport) {
   EXPECT_TRUE(Found) << "replay lost the recorded race";
 }
 
+// The trace alone selects replay: whatever Mode says, phase 1 is the one
+// recorded schedule, never RandomRuns random ones.
+TEST(WitnessRoundTripTest, ReplayTraceOverridesMode) {
+  CompiledProgram P = compileOk(MultiNarrow);
+  std::string Dir = freshTempDir("replay_overrides_mode");
+
+  DetectOptions Emit;
+  Emit.Mode = ExplorationMode::Systematic;
+  Emit.RandomRuns = 1;
+  Emit.ConfirmAttempts = 2;
+  Emit.WitnessDir = Dir;
+  Result<std::vector<TestDetectionResult>> Emitted =
+      detectRacesInTests(*P.Module, multiNarrowJobs(), Emit, 1);
+  ASSERT_TRUE(Emitted.hasValue());
+  ASSERT_FALSE((*Emitted)[0].WitnessFiles.empty());
+  Result<explore::ScheduleTrace> Trace =
+      explore::ScheduleTrace::readFile((*Emitted)[0].WitnessFiles[0]);
+  ASSERT_TRUE(Trace.hasValue());
+
+  for (ExplorationMode Mode :
+       {ExplorationMode::Random, ExplorationMode::PCT,
+        ExplorationMode::Systematic}) {
+    SCOPED_TRACE(explorationModeName(Mode));
+    DetectOptions Replay;
+    Replay.Mode = Mode;
+    Replay.ConfirmAttempts = 2;
+    Replay.ReplayTrace = std::make_shared<const explore::ScheduleTrace>(*Trace);
+    uint64_t ReplaysBefore = obs::MetricsRegistry::global()
+                                 .snapshot()
+                                 .counter("explore.replays");
+    Result<TestDetectionResult> R =
+        detectRacesInTest(*P.Module, "n0", Replay);
+    ASSERT_TRUE(R.hasValue()) << R.error().str();
+    EXPECT_EQ(R->SchedulesRun, 1u);
+    EXPECT_EQ(R->SchedulesPruned, 0u);
+    EXPECT_EQ(obs::MetricsRegistry::global().snapshot().counter(
+                  "explore.replays"),
+              ReplaysBefore + 1);
+  }
+}
+
 TEST(WitnessRoundTripTest, WitnessReplayRunsUnderMaxSteps) {
   CompiledProgram P = compileOk(MultiNarrow);
   std::string Dir = freshTempDir("replay_max_steps");
@@ -582,7 +623,6 @@ TEST(WitnessRoundTripTest, WitnessReplayRunsUnderMaxSteps) {
   // Detectors off: nothing is detected, so nothing is confirmed and the
   // replay is the only run.
   DetectOptions Replay;
-  Replay.Mode = ExplorationMode::Replay;
   Replay.UseHB = false;
   Replay.UseLockSet = false;
   Replay.ReplayTrace =

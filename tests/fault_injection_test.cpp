@@ -535,6 +535,52 @@ TEST(WatchdogTest, StepLimitedRandomRunCostsOneRunThenQuarantines) {
             "random-schedule run 0 exceeded its step budget of 100 steps");
 }
 
+// A test quarantined in phase 1 keeps the races its completed runs
+// detected.  On C1, narada_011's random run 6 never terminates: runs 0-5
+// complete and detect races, and those exact races stay in Detected (the
+// same set a 6-run detection finds), while nothing is confirmed.
+TEST(WatchdogTest, PhaseOneQuarantineKeepsCompletedRunsRaces) {
+  const CorpusEntry &Entry = *findCorpusEntry("C1");
+  NaradaOptions Options;
+  Options.FocusClass = Entry.ClassName;
+  Result<NaradaResult> Narada =
+      runNarada(Entry.Source, Entry.SeedNames, Options);
+  ASSERT_TRUE(Narada.hasValue()) << Narada.error().str();
+  const SynthesizedTestInfo *Test = nullptr;
+  for (const SynthesizedTestInfo &T : Narada->Tests)
+    if (T.Name == "narada_011")
+      Test = &T;
+  ASSERT_NE(Test, nullptr);
+  const IRModule &M = *Narada->Program.Module;
+
+  DetectOptions Detect; // The CLI defaults: 12 random runs.
+  uint64_t DetectedBefore = counterNow("detect.races_detected");
+  Result<TestDetectionResult> R =
+      detectRacesInTest(M, Test->Name, Detect, Test->CandidateLabels);
+  ASSERT_TRUE(R.hasValue()) << R.error().str();
+  ASSERT_TRUE(R->Quarantined);
+  EXPECT_EQ(R->QuarantineReason,
+            "random-schedule run 6 exceeded its step budget of 400000 steps");
+  EXPECT_EQ(R->SchedulesRun, 7u);
+  EXPECT_FALSE(R->Detected.empty());
+  EXPECT_TRUE(R->Races.empty());
+  EXPECT_EQ(counterNow("detect.races_detected"),
+            DetectedBefore + R->Detected.size());
+
+  // Exactly the completed runs' races: none from the step-limited run 6.
+  Detect.RandomRuns = 6;
+  Result<TestDetectionResult> Completed =
+      detectRacesInTest(M, Test->Name, Detect, Test->CandidateLabels);
+  ASSERT_TRUE(Completed.hasValue()) << Completed.error().str();
+  ASSERT_EQ(Completed->SchedulesRun, 6u);
+  std::vector<std::string> Kept, Expected;
+  for (const RaceReport &Rep : R->Detected)
+    Kept.push_back(Rep.str());
+  for (const RaceReport &Rep : Completed->Detected)
+    Expected.push_back(Rep.str());
+  EXPECT_EQ(Kept, Expected);
+}
+
 TEST(WatchdogTest, ExhaustedStepBudgetQuarantinesNeverSilentlyClean) {
   CompiledProgram P = compileOk(BoundedLoop);
   DetectOptions Options;

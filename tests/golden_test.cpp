@@ -10,7 +10,11 @@
 // and C8 (the two synchronized-method corpus classes): the static lockset
 // analysis interprets exactly this IR, so a lowering change that moves a
 // MonitorEnter or renumbers a label shows up here before it shows up as a
-// verdict change.
+// verdict change.  Finally pins whole detection outcomes (C1 under random
+// schedules, C9 under PCT and under systematic exploration): every
+// detected race, confirmation verdict, heap hash, outcome flag and
+// quarantine reason of every synthesized test, so a restructuring of the
+// detection protocol that changes any of them shows up here.
 //
 // To regenerate after an intentional output change:
 //
@@ -22,7 +26,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "detect/DetectWorker.h"
+#include "detect/Detection.h"
 #include "ir/IRPrinter.h"
+#include "support/Wire.h"
 #include "synth/Narada.h"
 
 #include <gtest/gtest.h>
@@ -67,7 +74,7 @@ void checkGolden(const std::string &Name, const std::string &Actual) {
       << "missing golden file " << Path
       << " (regenerate with NARADA_REGEN_GOLDEN=1)";
   EXPECT_EQ(Expected, Actual) << Name
-                              << ": synthesized source drifted from golden"
+                              << ": output drifted from golden"
                                  " (NARADA_REGEN_GOLDEN=1 to accept)";
 }
 
@@ -81,6 +88,38 @@ SynthesizedTestInfo firstTest(const std::string &CorpusId) {
   if (!R || R->Tests.empty())
     return {};
   return R->Tests[0];
+}
+
+/// Detection of every synthesized test of \p CorpusId under \p Mode with
+/// the CLI's default options, one detectworker::encodeDetectResult record
+/// per test (headed by its name) in synthesis order.
+std::string detectionRecords(const std::string &CorpusId,
+                             ExplorationMode Mode) {
+  const CorpusEntry &E = *findCorpusEntry(CorpusId);
+  NaradaOptions Options;
+  Options.FocusClass = E.ClassName;
+  Result<NaradaResult> R = runNarada(E.Source, E.SeedNames, Options);
+  EXPECT_TRUE(R.hasValue()) << (R ? "" : R.error().str());
+  if (!R)
+    return {};
+  std::vector<TestDetectJob> Jobs;
+  for (const SynthesizedTestInfo &T : R->Tests)
+    Jobs.push_back({T.Name, T.CandidateLabels});
+  DetectOptions Detect;
+  Detect.Mode = Mode;
+  Result<std::vector<TestDetectionResult>> D =
+      detectRacesInTests(*R->Program.Module, Jobs, Detect);
+  EXPECT_TRUE(D.hasValue()) << (D ? "" : D.error().str());
+  if (!D)
+    return {};
+  std::string Out;
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    wire::RecordWriter W;
+    W.add("test", Jobs[I].TestName);
+    detectworker::encodeDetectResult(W, (*D)[I]);
+    Out += W.str();
+  }
+  return Out;
 }
 
 } // namespace
@@ -123,4 +162,18 @@ TEST(GoldenTest, C8LoweredIR) {
   std::string IR = loweredIR("C8");
   ASSERT_FALSE(IR.empty());
   checkGolden("c8_ir", IR);
+}
+
+TEST(GoldenTest, C1RandomDetection) {
+  checkGolden("c1_detect_random",
+              detectionRecords("C1", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C9PCTDetection) {
+  checkGolden("c9_detect_pct", detectionRecords("C9", ExplorationMode::PCT));
+}
+
+TEST(GoldenTest, C9SystematicDetection) {
+  checkGolden("c9_detect_systematic",
+              detectionRecords("C9", ExplorationMode::Systematic));
 }

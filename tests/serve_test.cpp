@@ -547,4 +547,35 @@ TEST(DaemonLoopbackTest, InjectedFaultQuarantinesOneRequest) {
   EXPECT_EQ(Clean.Stdout, coldStdout(c9Request(1)));
 }
 
+//===----------------------------------------------------------------------===//
+// Engine: the detect command's own runs.
+//===----------------------------------------------------------------------===//
+
+// Every run `detect` starts, the lock-order pass over the detected tests
+// included, stays within --max-steps.  C1 under systematic exploration has
+// tests whose lock-order run never terminates.
+TEST(EngineDetectTest, EveryRunStaysWithinMaxSteps) {
+  const CorpusEntry *Entry = findCorpusEntry("C1");
+  ASSERT_NE(Entry, nullptr);
+  CliArgs Args;
+  Args.Command = "detect";
+  Args.Input = "corpus:C1";
+  Args.Names = Entry->SeedNames;
+  Args.FocusClass = Entry->ClassName;
+  Args.Detect.Mode = ExplorationMode::Systematic;
+  Args.Detect.MaxSteps = 50'000;
+  obs::MetricsRegistry::global().reset();
+  std::string Out, Err;
+  ASSERT_EQ(captureRun([&] { return runCommand(Args, Entry->Source); }, Out,
+                       Err),
+            0)
+      << Err;
+  obs::MetricsSnapshot Snap = obs::MetricsRegistry::global().snapshot();
+  // Non-vacuous: some run did exhaust the budget.
+  ASSERT_GT(Snap.counter("runtime.step_limit_hits"), 0u);
+  const obs::MetricsSnapshot::HistogramData &Steps =
+      Snap.Histograms.at("runtime.steps_per_run");
+  EXPECT_LE(Steps.Max, Args.Detect.MaxSteps);
+}
+
 } // namespace
