@@ -10,8 +10,8 @@
 // and C8 (the two synchronized-method corpus classes): the static lockset
 // analysis interprets exactly this IR, so a lowering change that moves a
 // MonitorEnter or renumbers a label shows up here before it shows up as a
-// verdict change.  Finally pins whole detection outcomes (C1 under random
-// schedules, C9 under PCT and under systematic exploration): every
+// verdict change.  Finally pins whole detection outcomes (C1-C8 under
+// random schedules, C9 under PCT and under systematic exploration): every
 // detected race, confirmation verdict, heap hash, outcome flag and
 // quarantine reason of every synthesized test, so a restructuring of the
 // detection protocol that changes any of them shows up here.
@@ -167,6 +167,43 @@ TEST(GoldenTest, C8LoweredIR) {
 TEST(GoldenTest, C1RandomDetection) {
   checkGolden("c1_detect_random",
               detectionRecords("C1", ExplorationMode::Random));
+}
+
+// C2-C8 under random schedules: together with C1 above, every corpus
+// class's default detection outcome is pinned.
+TEST(GoldenTest, C2RandomDetection) {
+  checkGolden("c2_detect_random",
+              detectionRecords("C2", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C3RandomDetection) {
+  checkGolden("c3_detect_random",
+              detectionRecords("C3", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C4RandomDetection) {
+  checkGolden("c4_detect_random",
+              detectionRecords("C4", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C5RandomDetection) {
+  checkGolden("c5_detect_random",
+              detectionRecords("C5", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C6RandomDetection) {
+  checkGolden("c6_detect_random",
+              detectionRecords("C6", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C7RandomDetection) {
+  checkGolden("c7_detect_random",
+              detectionRecords("C7", ExplorationMode::Random));
+}
+
+TEST(GoldenTest, C8RandomDetection) {
+  checkGolden("c8_detect_random",
+              detectionRecords("C8", ExplorationMode::Random));
 }
 
 TEST(GoldenTest, C9PCTDetection) {
