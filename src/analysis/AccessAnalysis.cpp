@@ -132,9 +132,9 @@ private:
 
 void TraceAnalyzer::beginInvocation(const TraceEvent &Event) {
   InvocationContext Ctx;
-  Ctx.ClassName = Event.ClassName;
-  Ctx.Method = Event.Method;
-  Ctx.IsConstructor = Event.Method == ConstructorName;
+  Ctx.ClassName = Event.className();
+  Ctx.Method = Event.method();
+  Ctx.IsConstructor = Event.method() == ConstructorName;
 
   for (size_t I = 0, E = Event.Args.size(); I != E; ++I)
     if (Event.Args[I].isRef())
@@ -170,8 +170,8 @@ void TraceAnalyzer::handleAccess(const TraceEvent &Event) {
   Record.Label = Event.staticLabel();
   Record.IsWrite = Event.isWrite();
   Record.IsElem = Event.isElemAccess();
-  Record.Field = Record.IsElem ? "[]" : Event.Field;
-  Record.FieldClassName = Event.ClassName;
+  Record.Field = Record.IsElem ? "[]" : Event.field();
+  Record.FieldClassName = Event.className();
   Record.BasePath = pathOf(Event.Obj);
   Record.InConstructor =
       Event.Func && endsWith(Event.Func->name(),
@@ -196,7 +196,7 @@ void TraceAnalyzer::handleAccess(const TraceEvent &Event) {
       WriteableAssign Setter;
       Setter.ClassName = Current->ClassName;
       Setter.Method = Current->Method;
-      Setter.Lhs = Record.BasePath->appended(Event.Field);
+      Setter.Lhs = Record.BasePath->appended(Event.field());
       Setter.Rhs = *ValuePath;
       Setter.IsConstructor = Current->IsConstructor;
       if (SetterKeys.insert(Setter.str()).second)

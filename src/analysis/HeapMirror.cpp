@@ -15,7 +15,7 @@ void HeapMirror::apply(const TraceEvent &Event) {
   switch (Event.Kind) {
   case EventKind::Alloc: {
     MirrorObject Obj;
-    Obj.ClassName = Event.ClassName;
+    Obj.ClassName = Event.className();
     Objects[Event.Obj] = std::move(Obj);
     return;
   }
@@ -24,8 +24,8 @@ void HeapMirror::apply(const TraceEvent &Event) {
     // allocations) may be first seen here.
     MirrorObject &Obj = Objects[Event.Obj];
     if (Obj.ClassName.empty())
-      Obj.ClassName = Event.ClassName;
-    Obj.Fields[Event.Field] = Event.Val;
+      Obj.ClassName = Event.className();
+    Obj.Fields[Event.field()] = Event.Val;
     return;
   }
   default:

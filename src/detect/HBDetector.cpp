@@ -8,6 +8,8 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
+
 using namespace narada;
 
 HBDetector::~HBDetector() {
@@ -19,26 +21,26 @@ HBDetector::~HBDetector() {
 }
 
 VectorClock &HBDetector::clockOf(ThreadId T) {
-  auto It = ThreadClocks.find(T);
-  if (It != ThreadClocks.end())
-    return It->second;
-  ++AllocCount;
+  if (T >= ThreadClocks.size())
+    ThreadClocks.resize(T + 1);
   VectorClock &C = ThreadClocks[T];
-  C.set(T, 1);
+  if (C.empty()) {
+    ++AllocCount;
+    C.set(T, 1);
+  }
   return C;
 }
 
-void HBDetector::report(const TraceEvent &Event,
-                        const std::string &PriorLabel, ThreadId PriorThread,
-                        bool PriorIsWrite) {
+void HBDetector::report(const TraceEvent &Event, Site Prior,
+                        ThreadId PriorThread, bool PriorIsWrite) {
   RaceReport R;
   R.Detector = "hb";
-  R.ClassName = Event.ClassName;
-  R.Field = Event.isElemAccess() ? "[]" : Event.Field;
+  R.ClassName = Event.className();
+  R.Field = Event.isElemAccess() ? "[]" : Event.field();
   R.Obj = Event.Obj;
   R.IsElem = Event.isElemAccess();
   R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
-  R.FirstLabel = PriorLabel;
+  R.FirstLabel = formatLabel(Prior.Func, Prior.Pc);
   R.SecondLabel = Event.staticLabel();
   R.FirstThread = PriorThread;
   R.SecondThread = Event.Thread;
@@ -47,17 +49,29 @@ void HBDetector::report(const TraceEvent &Event,
   Races.push_back(std::move(R));
 }
 
+void HBDetector::recordSharedRead(VarState &S, ThreadId T, uint64_t Clock,
+                                  Site At) {
+  auto It = std::lower_bound(
+      S.ReadMap.begin(), S.ReadMap.end(), T,
+      [](const SharedRead &R, ThreadId U) { return R.Thread < U; });
+  if (It != S.ReadMap.end() && It->Thread == T) {
+    It->Clock = Clock;
+    It->At = At;
+    return;
+  }
+  S.ReadMap.insert(It, SharedRead{T, Clock, At});
+}
+
 void HBDetector::handleRead(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex,
-             Event.isElemAccess() ? "[]" : Event.Field};
-  VarState &S = Vars[Key];
+  VarState &S = Vars[{Event.Obj, Event.isElemAccess(), Event.FieldIndex}];
   VectorClock &C = clockOf(Event.Thread);
+  const Site Here{Event.Func, Event.Pc};
 
   // write-read race: the last write must happen-before this read.
   if (S.Write.isSet()) {
     ++CompareCount;
     if (!S.Write.leq(C))
-      report(Event, S.WriteLabel, S.WriteThread, /*PriorIsWrite=*/true);
+      report(Event, S.WriteSite, S.WriteThread, /*PriorIsWrite=*/true);
   }
 
   uint64_t Now = C.get(Event.Thread);
@@ -68,32 +82,27 @@ void HBDetector::handleRead(const TraceEvent &Event) {
       if (!S.Read.leq(C)) {
         // Two concurrent readers: inflate to the read map.
         S.ReadShared = true;
-        S.ReadMap[S.Read.Thread] = S.Read.Clock;
-        S.ReadLabels[S.Read.Thread] = S.ReadLabel;
-        S.ReadMap[Event.Thread] = Now;
-        S.ReadLabels[Event.Thread] = Event.staticLabel();
+        recordSharedRead(S, S.Read.Thread, S.Read.Clock, S.ReadSite);
+        recordSharedRead(S, Event.Thread, Now, Here);
         return;
       }
     }
     S.Read = Epoch{Event.Thread, Now};
-    S.ReadLabel = Event.staticLabel();
+    S.ReadSite = Here;
     return;
   }
-  S.ReadMap[Event.Thread] = Now;
-  S.ReadLabels[Event.Thread] = Event.staticLabel();
+  recordSharedRead(S, Event.Thread, Now, Here);
 }
 
 void HBDetector::handleWrite(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex,
-             Event.isElemAccess() ? "[]" : Event.Field};
-  VarState &S = Vars[Key];
+  VarState &S = Vars[{Event.Obj, Event.isElemAccess(), Event.FieldIndex}];
   VectorClock &C = clockOf(Event.Thread);
 
   // write-write race.
   if (S.Write.isSet()) {
     ++CompareCount;
     if (!S.Write.leq(C))
-      report(Event, S.WriteLabel, S.WriteThread, /*PriorIsWrite=*/true);
+      report(Event, S.WriteSite, S.WriteThread, /*PriorIsWrite=*/true);
   }
 
   // read-write races.
@@ -101,33 +110,35 @@ void HBDetector::handleWrite(const TraceEvent &Event) {
     if (S.Read.isSet()) {
       ++CompareCount;
       if (!S.Read.leq(C))
-        report(Event, S.ReadLabel, S.Read.Thread, /*PriorIsWrite=*/false);
+        report(Event, S.ReadSite, S.Read.Thread, /*PriorIsWrite=*/false);
     }
   } else {
-    for (const auto &[Thread, Clock] : S.ReadMap) {
-      Epoch E{Thread, Clock};
+    for (const SharedRead &R : S.ReadMap) {
+      Epoch E{R.Thread, R.Clock};
       ++CompareCount;
       if (!E.leq(C))
-        report(Event, S.ReadLabels[Thread], Thread, /*PriorIsWrite=*/false);
+        report(Event, R.At, R.Thread, /*PriorIsWrite=*/false);
     }
     S.ReadShared = false;
-    S.ReadMap.clear();
-    S.ReadLabels.clear();
+    S.ReadMap.clear(); // Keeps its capacity for the next inflation.
   }
   S.Read = Epoch{};
-  S.ReadLabel.clear();
+  S.ReadSite = Site{};
 
   S.Write = Epoch{Event.Thread, C.get(Event.Thread)};
-  S.WriteLabel = Event.staticLabel();
+  S.WriteSite = Site{Event.Func, Event.Pc};
   S.WriteThread = Event.Thread;
 }
 
 void HBDetector::onEvent(const TraceEvent &Event) {
   switch (Event.Kind) {
   case EventKind::ThreadStart: {
-    VectorClock &Child = clockOf(Event.Thread);
+    clockOf(Event.Thread);
     if (Event.ParentThread != NoThread) {
-      VectorClock &Parent = clockOf(Event.ParentThread);
+      clockOf(Event.ParentThread);
+      // Both exist now, so neither reference is invalidated by a resize.
+      VectorClock &Child = ThreadClocks[Event.Thread];
+      VectorClock &Parent = ThreadClocks[Event.ParentThread];
       Child.joinWith(Parent);
       ++JoinCount;
       Child.set(Event.Thread, Child.get(Event.Thread) + 1);

@@ -21,7 +21,6 @@
 #include "trace/TraceEvent.h"
 
 #include <map>
-#include <string>
 #include <vector>
 
 namespace narada {
@@ -40,8 +39,7 @@ private:
   struct VarKey {
     ObjectId Obj;
     bool IsElem;
-    unsigned Index;       ///< Field index or element index.
-    std::string Field;    ///< For reporting.
+    unsigned Index; ///< Field slot or element index.
 
     bool operator<(const VarKey &Other) const {
       if (Obj != Other.Obj)
@@ -52,28 +50,44 @@ private:
     }
   };
 
+  /// A prior access's static program point, formatted only in report().
+  struct Site {
+    const IRFunction *Func = nullptr;
+    uint32_t Pc = 0;
+  };
+
+  /// One thread's entry of an inflated read map.
+  struct SharedRead {
+    ThreadId Thread;
+    uint64_t Clock;
+    Site At;
+  };
+
   /// Per-variable detector state (FastTrack's W/R state).
   struct VarState {
     Epoch Write;
-    std::string WriteLabel;
+    Site WriteSite;
     ThreadId WriteThread = NoThread;
 
-    // Read state: epoch while one thread reads, inflated to a map when a
-    // second thread reads concurrently.
+    // Read state: epoch while one thread reads, inflated to a read map,
+    // kept sorted by thread, when a second thread reads concurrently.
     Epoch Read;
-    std::string ReadLabel;
+    Site ReadSite;
     bool ReadShared = false;
-    std::map<ThreadId, uint64_t> ReadMap;
-    std::map<ThreadId, std::string> ReadLabels;
+    std::vector<SharedRead> ReadMap;
   };
 
   VectorClock &clockOf(ThreadId T);
   void handleRead(const TraceEvent &Event);
   void handleWrite(const TraceEvent &Event);
-  void report(const TraceEvent &Event, const std::string &PriorLabel,
-              ThreadId PriorThread, bool PriorIsWrite);
+  /// Sets \p T's read-map entry, keeping the map sorted by thread.
+  static void recordSharedRead(VarState &S, ThreadId T, uint64_t Clock,
+                               Site At);
+  void report(const TraceEvent &Event, Site Prior, ThreadId PriorThread,
+              bool PriorIsWrite);
 
-  std::map<ThreadId, VectorClock> ThreadClocks;
+  /// Indexed by thread id; a thread's clock exists once it is non-empty.
+  std::vector<VectorClock> ThreadClocks;
   std::map<ObjectId, VectorClock> LockClocks;
   std::map<VarKey, VarState> Vars;
   std::vector<RaceReport> Races;

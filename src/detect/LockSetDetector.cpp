@@ -18,10 +18,15 @@ LockSetDetector::~LockSetDetector() {
   Metrics.counter("detect.lockset_reports").inc(Races.size());
 }
 
+LockSetDetector::LockSet &LockSetDetector::heldBy(ThreadId T) {
+  if (T >= Held.size())
+    Held.resize(T + 1);
+  return Held[T];
+}
+
 void LockSetDetector::handleAccess(const TraceEvent &Event) {
-  VarKey Key{Event.Obj, Event.isElemAccess(), Event.FieldIndex};
-  VarState &S = Vars[Key];
-  const std::set<ObjectId> &Locks = Held[Event.Thread];
+  VarState &S = Vars[{Event.Obj, Event.isElemAccess(), Event.FieldIndex}];
+  const LockSet &Locks = heldBy(Event.Thread);
   bool IsWrite = Event.isWrite();
 
   switch (S.Phase) {
@@ -52,27 +57,26 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
       S.CandidatesInitialized = true;
     } else {
       ++IntersectionCount;
-      std::set<ObjectId> Intersection;
-      std::set_intersection(S.Candidates.begin(), S.Candidates.end(),
-                            Locks.begin(), Locks.end(),
-                            std::inserter(Intersection,
-                                          Intersection.begin()));
-      S.Candidates = std::move(Intersection);
+      std::erase_if(S.Candidates, [&](ObjectId L) {
+        return !std::binary_search(Locks.begin(), Locks.end(), L);
+      });
     }
   }
 
   if (S.Phase == VarPhase::SharedModified && S.Candidates.empty() &&
       S.CandidatesInitialized && !S.Reported) {
+    bool HasLast = S.LastThread != NoThread;
     RaceReport R;
     R.Detector = "lockset";
-    R.ClassName = Event.ClassName;
-    R.Field = Event.isElemAccess() ? "[]" : Event.Field;
+    R.ClassName = Event.className();
+    R.Field = Event.isElemAccess() ? "[]" : Event.field();
     R.Obj = Event.Obj;
     R.IsElem = Event.isElemAccess();
     R.ElemIndex = Event.isElemAccess() ? Event.FieldIndex : 0;
-    R.FirstLabel = S.LastLabel.empty() ? Event.staticLabel() : S.LastLabel;
     R.SecondLabel = Event.staticLabel();
-    R.FirstThread = S.LastThread == NoThread ? Event.Thread : S.LastThread;
+    R.FirstLabel =
+        HasLast ? formatLabel(S.LastFunc, S.LastPc) : R.SecondLabel;
+    R.FirstThread = HasLast ? S.LastThread : Event.Thread;
     R.SecondThread = Event.Thread;
     R.FirstIsWrite = S.LastIsWrite;
     R.SecondIsWrite = IsWrite;
@@ -80,19 +84,28 @@ void LockSetDetector::handleAccess(const TraceEvent &Event) {
     S.Reported = true; // One report per variable, like Eraser.
   }
 
-  S.LastLabel = Event.staticLabel();
+  S.LastFunc = Event.Func;
+  S.LastPc = Event.Pc;
   S.LastThread = Event.Thread;
   S.LastIsWrite = IsWrite;
 }
 
 void LockSetDetector::onEvent(const TraceEvent &Event) {
   switch (Event.Kind) {
-  case EventKind::Lock:
-    Held[Event.Thread].insert(Event.Obj);
+  case EventKind::Lock: {
+    LockSet &Locks = heldBy(Event.Thread);
+    auto It = std::lower_bound(Locks.begin(), Locks.end(), Event.Obj);
+    if (It == Locks.end() || *It != Event.Obj)
+      Locks.insert(It, Event.Obj);
     return;
-  case EventKind::Unlock:
-    Held[Event.Thread].erase(Event.Obj);
+  }
+  case EventKind::Unlock: {
+    LockSet &Locks = heldBy(Event.Thread);
+    auto It = std::lower_bound(Locks.begin(), Locks.end(), Event.Obj);
+    if (It != Locks.end() && *It == Event.Obj)
+      Locks.erase(It);
     return;
+  }
   case EventKind::ReadField:
   case EventKind::ReadElem:
   case EventKind::WriteField:

@@ -22,8 +22,6 @@
 #include "trace/TraceEvent.h"
 
 #include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 namespace narada {
@@ -59,20 +57,29 @@ private:
     }
   };
 
+  /// Sorted, duplicate-free object ids: a lockset kept as a flat vector,
+  /// refined in place so the per-access path never allocates once warm.
+  using LockSet = std::vector<ObjectId>;
+
   struct VarState {
     VarPhase Phase = VarPhase::Virgin;
     ThreadId Owner = NoThread;
-    std::set<ObjectId> Candidates;
+    LockSet Candidates;
     bool CandidatesInitialized = false;
-    std::string LastLabel;
+    /// The previous access, for the report: its site is formatted only
+    /// when the report is made.
+    const IRFunction *LastFunc = nullptr;
+    uint32_t LastPc = 0;
     ThreadId LastThread = NoThread;
     bool LastIsWrite = false;
     bool Reported = false;
   };
 
   void handleAccess(const TraceEvent &Event);
+  LockSet &heldBy(ThreadId T);
 
-  std::map<ThreadId, std::set<ObjectId>> Held;
+  /// Locks held per thread, indexed by thread id.
+  std::vector<LockSet> Held;
   std::map<VarKey, VarState> Vars;
   std::vector<RaceReport> Races;
   /// Lockset refinements performed, flushed to the metrics registry once on

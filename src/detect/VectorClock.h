@@ -35,6 +35,9 @@ public:
     Clocks[T] = Val;
   }
 
+  /// True when no component was ever set.
+  bool empty() const { return Clocks.empty(); }
+
   /// Advances this thread's own component.
   void tick(ThreadId T) { set(T, get(T) + 1); }
 

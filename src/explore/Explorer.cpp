@@ -41,7 +41,7 @@ bool conflicting(const std::optional<PendingAccess> &A,
     return false;
   if (A->IsElem && A->ElemIndex != B->ElemIndex)
     return false;
-  if (!A->IsElem && A->Field != B->Field)
+  if (!A->IsElem && A->FieldIndex != B->FieldIndex)
     return false;
   return A->IsWrite || B->IsWrite;
 }

@@ -70,6 +70,10 @@ const IRFunction *IRModule::findMethod(const std::string &ClassName,
 }
 
 const IRFunction *IRModule::findTest(const std::string &TestName) const {
-  auto It = ByName.find("test$" + TestName);
+  return findFunction("test$" + TestName);
+}
+
+const IRFunction *IRModule::findFunction(const std::string &Name) const {
+  auto It = ByName.find(Name);
   return It == ByName.end() ? nullptr : It->second;
 }

@@ -64,6 +64,10 @@ const char *opcodeName(Opcode Op);
 
 class IRFunction;
 
+/// The native IntArray methods a builtin Invoke dispatches to, resolved
+/// once at link time.
+enum class BuiltinMethod : uint8_t { None, Init, Get, Set, Length };
+
 /// One IR instruction.  Fields are used according to the opcode; unused
 /// fields hold default values.
 struct Instr {
@@ -80,6 +84,10 @@ struct Instr {
   unsigned FieldIndex = 0;     ///< Resolved field slot (Load/StoreField).
   std::vector<Reg> Args;       ///< Invoke/SpawnThread argument registers.
   const IRFunction *Callee = nullptr; ///< Resolved by Linker; null=builtin.
+  /// NewObject: the class allocated, resolved by Linker.
+  const ClassInfo *Class = nullptr;
+  /// Invoke of a builtin-class method: which one, resolved by Linker.
+  BuiltinMethod Builtin = BuiltinMethod::None;
   SourceLoc Loc;               ///< Originating source location.
 };
 
@@ -152,6 +160,9 @@ public:
 
   /// Finds a test body by name, or nullptr.
   const IRFunction *findTest(const std::string &TestName) const;
+
+  /// Finds any function by its IRFunction::name(), or nullptr.
+  const IRFunction *findFunction(const std::string &Name) const;
 
   /// All functions in registration order.
   const std::vector<std::unique_ptr<IRFunction>> &functions() const {

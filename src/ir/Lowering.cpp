@@ -679,27 +679,41 @@ Result<Reg> FunctionLowerer::lowerNew(const NewExpr *New) {
   return R;
 }
 
-/// Resolves Invoke callees after all functions are lowered.  Builtin-class
-/// methods keep a null callee: the VM dispatches them natively.
-static Status linkModule(IRModule &M) {
-  for (const auto &F : M.functions()) {
-    for (Instr &I : F->instrs()) {
-      if (I.Op != Opcode::Invoke)
-        continue;
-      const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-      if (!Class)
-        return Error(formatString("link: unknown class '%s'",
-                                  I.ClassName.c_str()));
-      if (Class->IsBuiltin) {
-        I.Callee = nullptr;
-        continue;
-      }
-      const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
-      if (!Callee)
-        return Error(formatString("link: no body for method '%s.%s'",
-                                  I.ClassName.c_str(), I.Member.c_str()));
-      I.Callee = Callee;
+/// Resolves \p Fn's instructions against \p M once, so the VM never looks
+/// a name up while it runs: Invoke callees (builtin-class methods keep a
+/// null callee and get their BuiltinMethod), and NewObject classes.
+static Status linkFunction(const IRModule &M, IRFunction &Fn) {
+  for (Instr &I : Fn.instrs()) {
+    if (I.Op != Opcode::Invoke && I.Op != Opcode::NewObject)
+      continue;
+    const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
+    if (!Class)
+      return Error(formatString("link: unknown class '%s'",
+                                I.ClassName.c_str()));
+    if (I.Op == Opcode::NewObject) {
+      I.Class = Class;
+      continue;
     }
+    if (Class->IsBuiltin) {
+      I.Callee = nullptr;
+      if (I.Member == ConstructorName)
+        I.Builtin = BuiltinMethod::Init;
+      else if (I.Member == "get")
+        I.Builtin = BuiltinMethod::Get;
+      else if (I.Member == "set")
+        I.Builtin = BuiltinMethod::Set;
+      else if (I.Member == "length")
+        I.Builtin = BuiltinMethod::Length;
+      else
+        return Error(formatString("link: unknown builtin method '%s.%s'",
+                                  I.ClassName.c_str(), I.Member.c_str()));
+      continue;
+    }
+    const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
+    if (!Callee)
+      return Error(formatString("link: no body for method '%s.%s'",
+                                I.ClassName.c_str(), I.Member.c_str()));
+    I.Callee = Callee;
   }
   return Status::success();
 }
@@ -764,8 +778,9 @@ narada::lower(const Program &Prog, std::shared_ptr<ProgramInfo> Info) {
   for (auto &Spawn : PendingSpawns)
     M->addFunction(std::move(Spawn));
 
-  if (Status St = linkModule(*M); !St)
-    return St.error();
+  for (const auto &F : M->functions())
+    if (Status St = linkFunction(*M, *F); !St)
+      return St.error();
   return M;
 }
 
@@ -776,30 +791,11 @@ Result<const IRFunction *> narada::lowerTestInto(IRModule &M,
   if (!F)
     return F.error();
 
-  // Resolve Invokes in the new functions against the existing module.
-  auto LinkOne = [&M](IRFunction &Fn) -> Status {
-    for (Instr &I : Fn.instrs()) {
-      if (I.Op != Opcode::Invoke)
-        continue;
-      const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-      if (!Class)
-        return Error(formatString("link: unknown class '%s'",
-                                  I.ClassName.c_str()));
-      if (Class->IsBuiltin)
-        continue;
-      const IRFunction *Callee = M.findMethod(I.ClassName, I.Member);
-      if (!Callee)
-        return Error(formatString("link: no body for method '%s.%s'",
-                                  I.ClassName.c_str(), I.Member.c_str()));
-      I.Callee = Callee;
-    }
-    return Status::success();
-  };
-
-  if (Status St = LinkOne(**F); !St)
+  // Resolve the new functions against the existing module.
+  if (Status St = linkFunction(M, **F); !St)
     return St.error();
   for (auto &Spawn : PendingSpawns)
-    if (Status St = LinkOne(*Spawn); !St)
+    if (Status St = linkFunction(M, *Spawn); !St)
       return St.error();
 
   const IRFunction *Out = M.addFunction(F.take());

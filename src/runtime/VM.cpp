@@ -24,9 +24,18 @@ TraceEvent VM::makeEvent(EventKind Kind, const ThreadState &T) {
   return E;
 }
 
-void VM::emit(TraceEvent Event) {
+void VM::emit(const TraceEvent &Event) {
   if (Observer)
     Observer->onEvent(Event);
+}
+
+std::vector<Value> VM::takeRegs(size_t Size) {
+  if (FreeRegs.empty())
+    return std::vector<Value>(Size);
+  std::vector<Value> Regs = std::move(FreeRegs.back());
+  FreeRegs.pop_back();
+  Regs.assign(Size, Value());
+  return Regs;
 }
 
 ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
@@ -39,7 +48,7 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
 
   Frame Entry;
   Entry.Func = F;
-  Entry.Regs.resize(F->numRegs());
+  Entry.Regs = takeRegs(F->numRegs());
   for (size_t I = 0, E = Args.size(); I != E; ++I)
     Entry.Regs[I] = Args[I];
   // A method run as a thread root is a client→library boundary: the harness
@@ -56,8 +65,8 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   emit(Start);
   if (Created.Stack.back().IsClientBoundary) {
     TraceEvent Call = makeEvent(EventKind::ClientCall, Created);
-    Call.Method = F->name();
-    Call.ClassName = F->className();
+    Call.Method = &F->name();
+    Call.ClassName = &F->className();
     Call.Receiver = Args.empty() ? NoObject : Args[0].refOrNone();
     Call.Args = Args;
     emit(Call);
@@ -65,8 +74,8 @@ ThreadId VM::spawnThread(const IRFunction *F, std::vector<Value> Args,
   return Created.Id;
 }
 
-std::vector<ThreadId> VM::runnableThreads() const {
-  std::vector<ThreadId> Out;
+void VM::runnableThreads(std::vector<ThreadId> &Out) const {
+  Out.clear();
   for (const ThreadState &T : Threads) {
     if (T.Status == ThreadStatus::Runnable) {
       Out.push_back(T.Id);
@@ -78,7 +87,6 @@ std::vector<ThreadId> VM::runnableThreads() const {
         Out.push_back(T.Id);
     }
   }
-  return Out;
 }
 
 bool VM::allDone() const {
@@ -136,7 +144,7 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
     if (!Base.isRef())
       return std::nullopt;
     Out.Obj = Base.asRef();
-    Out.Field = I->Member;
+    Out.FieldIndex = I->FieldIndex;
     Out.IsWrite = I->Op == Opcode::StoreField;
     return Out;
   }
@@ -147,7 +155,7 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
     const Value &Base = F.Regs[I->A];
     if (!Base.isRef())
       return std::nullopt;
-    if (I->Member != "get" && I->Member != "set")
+    if (I->Builtin != BuiltinMethod::Get && I->Builtin != BuiltinMethod::Set)
       return std::nullopt;
     const Value &Index = F.Regs[I->Args[0]];
     if (!Index.isInt())
@@ -155,7 +163,7 @@ std::optional<PendingAccess> VM::peekAccess(ThreadId Tid) const {
     Out.Obj = Base.asRef();
     Out.IsElem = true;
     Out.ElemIndex = static_cast<unsigned>(Index.asInt());
-    Out.IsWrite = I->Member == "set";
+    Out.IsWrite = I->Builtin == BuiltinMethod::Set;
     return Out;
   }
   default:
@@ -179,7 +187,8 @@ std::vector<ObjectId> VM::heldMonitors(ThreadId Tid) const {
   return Out;
 }
 
-void VM::fault(ThreadState &T, const std::string &Message) {
+void VM::fault(ThreadState &T, std::string Message) {
+  T.FaultMessage = std::move(Message);
   // Release every monitor the thread holds: its frames unwind as if an
   // exception propagated out of all synchronized regions.
   for (ObjectId Id = 1; Id <= TheHeap.size(); ++Id) {
@@ -193,10 +202,9 @@ void VM::fault(ThreadState &T, const std::string &Message) {
     }
   }
   TraceEvent E = makeEvent(EventKind::Fault, T);
-  E.Message = Message;
+  E.Message = T.FaultMessage;
   emit(E);
   T.Status = ThreadStatus::Faulted;
-  T.FaultMessage = Message;
   T.Stack.clear();
 }
 
@@ -219,6 +227,7 @@ void VM::doReturn(ThreadState &T, Value RetVal) {
   Frame &Caller = T.Stack.back();
   if (Done.RetDst != NoReg)
     Caller.Regs[Done.RetDst] = RetVal;
+  FreeRegs.push_back(std::move(Done.Regs));
 }
 
 void VM::step(ThreadId Tid) {
@@ -264,10 +273,16 @@ InstrClass narada::classifyOpcode(Opcode Op) {
 void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
   ++Stats.InstrByOp[static_cast<unsigned>(I.Op)];
 
-  auto NullCheck = [&](const Value &V, const char *What) -> bool {
+  // The fault message is built only when the check fails: "null
+  // dereference: <What> '<Name>' at <function>:<pc>".
+  auto NullCheck = [&](const Value &V, const char *What,
+                       const std::string *Name = nullptr) -> bool {
     if (V.isRef())
       return true;
-    fault(T, formatString("null dereference: %s at %s:%u", What,
+    std::string Subject = What;
+    if (Name)
+      Subject += " '" + *Name + "'";
+    fault(T, formatString("null dereference: %s at %s:%u", Subject.c_str(),
                           F.Func->name().c_str(), F.Pc));
     return false;
   };
@@ -365,7 +380,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::LoadField: {
     const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, ("read of field '" + I.Member + "'").c_str()))
+    if (!NullCheck(Base, "read of field", &I.Member))
       return;
     HeapObject &Obj = TheHeap.object(Base.asRef());
     assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
@@ -374,8 +389,8 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::ReadField, T);
     E.Obj = Base.asRef();
-    E.ClassName = Obj.Class->Name;
-    E.Field = I.Member;
+    E.ClassName = &Obj.Class->Name;
+    E.Field = &I.Member;
     E.FieldIndex = I.FieldIndex;
     E.Val = Read;
     emit(E);
@@ -385,7 +400,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::StoreField: {
     const Value &Base = F.Regs[I.A];
-    if (!NullCheck(Base, ("write of field '" + I.Member + "'").c_str()))
+    if (!NullCheck(Base, "write of field", &I.Member))
       return;
     HeapObject &Obj = TheHeap.object(Base.asRef());
     assert(I.FieldIndex < Obj.Fields.size() && "field index out of layout");
@@ -394,8 +409,8 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::WriteField, T);
     E.Obj = Base.asRef();
-    E.ClassName = Obj.Class->Name;
-    E.Field = I.Member;
+    E.ClassName = &Obj.Class->Name;
+    E.Field = &I.Member;
     E.FieldIndex = I.FieldIndex;
     E.Val = NewVal;
     emit(E);
@@ -404,15 +419,15 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
   }
 
   case Opcode::NewObject: {
-    const ClassInfo *Class = M.programInfo().findClass(I.ClassName);
-    assert(Class && "lowering validated the class");
+    const ClassInfo *Class = I.Class;
+    assert(Class && "linking resolved the class");
     ObjectId Id = Class->IsBuiltin ? TheHeap.allocateArray(Class, 0)
                                    : TheHeap.allocate(Class);
     F.Regs[I.Dst] = Value::makeRef(Id);
 
     TraceEvent E = makeEvent(EventKind::Alloc, T);
     E.Obj = Id;
-    E.ClassName = Class->Name;
+    E.ClassName = &Class->Name;
     emit(E);
     ++F.Pc;
     return;
@@ -420,7 +435,7 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
 
   case Opcode::Invoke: {
     const Value &Receiver = F.Regs[I.A];
-    if (!NullCheck(Receiver, ("call of '" + I.Member + "'").c_str()))
+    if (!NullCheck(Receiver, "call of", &I.Member))
       return;
     if (!I.Callee) {
       execBuiltinInvoke(T, F, I);
@@ -428,18 +443,24 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
     }
 
     bool ClientBoundary = F.Func->kind() != IRFunction::Kind::Method;
-    std::vector<Value> Args;
-    Args.reserve(I.Args.size() + 1);
-    Args.push_back(Receiver);
-    for (Reg R : I.Args)
-      Args.push_back(F.Regs[R]);
+    // The callee's parameter registers are the call's argument list.
+    Frame Callee;
+    Callee.Func = I.Callee;
+    Callee.Regs = takeRegs(I.Callee->numRegs());
+    const size_t NumArgs = I.Args.size() + 1;
+    assert(NumArgs <= Callee.Regs.size() && "arguments exceed registers");
+    Callee.Regs[0] = Receiver;
+    for (size_t ArgIdx = 0; ArgIdx != I.Args.size(); ++ArgIdx)
+      Callee.Regs[ArgIdx + 1] = F.Regs[I.Args[ArgIdx]];
+    Callee.RetDst = I.Dst;
+    Callee.IsClientBoundary = ClientBoundary;
 
     if (ClientBoundary) {
       TraceEvent E = makeEvent(EventKind::ClientCall, T);
-      E.Method = I.Member;
-      E.ClassName = I.ClassName;
+      E.Method = &I.Member;
+      E.ClassName = &I.ClassName;
       E.Receiver = Receiver.asRef();
-      E.Args = Args;
+      E.Args = std::span<const Value>(Callee.Regs.data(), NumArgs);
       emit(E);
     }
 
@@ -452,14 +473,6 @@ void VM::execInstr(ThreadState &T, Frame &F, const Instr &I) {
                             I.Member.c_str()));
       return;
     }
-
-    Frame Callee;
-    Callee.Func = I.Callee;
-    Callee.Regs.resize(I.Callee->numRegs());
-    for (size_t ArgIdx = 0; ArgIdx != Args.size(); ++ArgIdx)
-      Callee.Regs[ArgIdx] = Args[ArgIdx];
-    Callee.RetDst = I.Dst;
-    Callee.IsClientBoundary = ClientBoundary;
     T.Stack.push_back(std::move(Callee));
     return;
   }
@@ -553,7 +566,8 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
     return false;
   };
 
-  if (I.Member == ConstructorName) {
+  switch (I.Builtin) {
+  case BuiltinMethod::Init: {
     int64_t Size = F.Regs[I.Args[0]].asInt();
     if (Size < 0) {
       fault(T, formatString("negative array size %lld at %s:%u",
@@ -566,7 +580,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
     return;
   }
 
-  if (I.Member == "get") {
+  case BuiltinMethod::Get: {
     int64_t Index = F.Regs[I.Args[0]].asInt();
     if (!BoundsCheck(Index))
       return;
@@ -575,7 +589,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::ReadElem, T);
     E.Obj = Receiver.asRef();
-    E.ClassName = Obj.Class->Name;
+    E.ClassName = &Obj.Class->Name;
     E.FieldIndex = static_cast<unsigned>(Index);
     E.Val = Value::makeInt(Read);
     emit(E);
@@ -583,7 +597,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
     return;
   }
 
-  if (I.Member == "set") {
+  case BuiltinMethod::Set: {
     int64_t Index = F.Regs[I.Args[0]].asInt();
     if (!BoundsCheck(Index))
       return;
@@ -592,7 +606,7 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
 
     TraceEvent E = makeEvent(EventKind::WriteElem, T);
     E.Obj = Receiver.asRef();
-    E.ClassName = Obj.Class->Name;
+    E.ClassName = &Obj.Class->Name;
     E.FieldIndex = static_cast<unsigned>(Index);
     E.Val = Value::makeInt(NewVal);
     emit(E);
@@ -600,11 +614,13 @@ void VM::execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I) {
     return;
   }
 
-  if (I.Member == "length") {
+  case BuiltinMethod::Length:
     F.Regs[I.Dst] = Value::makeInt(static_cast<int64_t>(Obj.Elems.size()));
     ++F.Pc;
     return;
-  }
 
-  narada_unreachable("unknown builtin method");
+  case BuiltinMethod::None:
+    break;
+  }
+  narada_unreachable("builtin call not resolved by the linker");
 }

@@ -69,7 +69,7 @@ struct ThreadState {
 /// right before a suspected racy access.
 struct PendingAccess {
   ObjectId Obj = NoObject;
-  std::string Field;
+  unsigned FieldIndex = 0; ///< Field slot (field accesses).
   unsigned ElemIndex = 0;
   bool IsElem = false;
   bool IsWrite = false;
@@ -151,9 +151,10 @@ public:
   const ThreadState &thread(ThreadId T) const { return Threads[T]; }
   size_t numThreads() const { return Threads.size(); }
 
-  /// Threads that can make progress now: Runnable ones plus Blocked ones
-  /// whose awaited monitor has become available.
-  std::vector<ThreadId> runnableThreads() const;
+  /// Fills \p Out with the threads that can make progress now: Runnable
+  /// ones plus Blocked ones whose awaited monitor has become available.
+  /// The caller owns the buffer, so a step loop reuses one allocation.
+  void runnableThreads(std::vector<ThreadId> &Out) const;
 
   /// True when no thread is live.
   bool allDone() const;
@@ -184,8 +185,11 @@ private:
   void execInstr(ThreadState &T, Frame &F, const Instr &I);
   void execBuiltinInvoke(ThreadState &T, Frame &F, const Instr &I);
   void doReturn(ThreadState &T, Value RetVal);
-  void fault(ThreadState &T, const std::string &Message);
-  void emit(TraceEvent Event);
+  void fault(ThreadState &T, std::string Message);
+  void emit(const TraceEvent &Event);
+  /// A register file of \p Size nulls, reusing one a returned frame left
+  /// behind when there is one.
+  std::vector<Value> takeRegs(size_t Size);
   uint64_t nextLabel() { return ++LabelCounter; }
 
   /// Fills the static-point and thread fields of an event.
@@ -198,6 +202,8 @@ private:
   RNG Rand;
   uint64_t LabelCounter = 0;
   VMStats Stats;
+  /// Register files of returned frames, recycled by takeRegs.
+  std::vector<std::vector<Value>> FreeRegs;
 };
 
 } // namespace narada

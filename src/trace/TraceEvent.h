@@ -21,7 +21,10 @@
 #include "runtime/Value.h"
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace narada {
@@ -45,9 +48,19 @@ enum class EventKind {
 /// Returns a short mnemonic for \p Kind.
 const char *eventKindName(EventKind Kind);
 
-/// One dynamic event.
+/// "Class.method:pc", the static label of program point (\p Func, \p Pc);
+/// "<unknown>" without a function.
+std::string formatLabel(const IRFunction *Func, uint32_t Pc);
+
+/// One dynamic event.  Plain data: copying or emitting one never touches
+/// the heap.  Names are references into the IRModule (the function, its
+/// instructions and its ProgramInfo), so the module must outlive every
+/// event and recorded Trace that points into it.  Args and Message point
+/// into VM state and are valid only while the event is being delivered;
+/// a recorded Trace keeps its own copies.  Labels are formatted only where
+/// a report or a printout needs them (formatLabel).
 struct TraceEvent {
-  EventKind Kind;
+  EventKind Kind = EventKind::Alloc;
   uint64_t Label = 0;       ///< Dynamic execution index, globally unique.
   ThreadId Thread = 0;
 
@@ -57,21 +70,25 @@ struct TraceEvent {
 
   // Accessed / locked / allocated object.
   ObjectId Obj = NoObject;
-  std::string ClassName;    ///< Dynamic class of Obj where relevant.
-  std::string Field;        ///< Field name for field accesses.
+  const std::string *ClassName = nullptr; ///< Dynamic class of Obj.
+  const std::string *Field = nullptr;     ///< Field name of field accesses.
   unsigned FieldIndex = 0;  ///< Field slot, or element index for Read/WriteElem.
   Value Val;                ///< Value read / written / returned.
 
   // ClientCall payload.
-  std::string Method;          ///< Invoked method name.
+  const std::string *Method = nullptr; ///< Invoked method name.
   ObjectId Receiver = NoObject;
-  std::vector<Value> Args;
+  std::span<const Value> Args;
 
   /// For ThreadStart: the spawning thread (NoThread for root threads).
   /// Gives happens-before detectors the parent->child edge.
   ThreadId ParentThread = NoThread;
 
-  std::string Message;      ///< Fault description.
+  std::string_view Message; ///< Fault description.
+
+  const std::string &className() const { return nameOr(ClassName); }
+  const std::string &field() const { return nameOr(Field); }
+  const std::string &method() const { return nameOr(Method); }
 
   /// True for the four heap-access kinds.
   bool isAccess() const {
@@ -88,8 +105,14 @@ struct TraceEvent {
   }
 
   /// "Class.method:pc" — the static label used to name racy accesses.
-  std::string staticLabel() const;
+  std::string staticLabel() const { return formatLabel(Func, Pc); }
+
+private:
+  static const std::string &nameOr(const std::string *Name);
 };
+
+static_assert(std::is_trivially_copyable_v<TraceEvent>,
+              "events are plain data");
 
 /// Receives events as the VM executes.  Implemented by the trace recorder,
 /// the race detectors and the RaceFuzzer-style active scheduler.

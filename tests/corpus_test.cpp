@@ -72,8 +72,8 @@ TEST_P(CorpusTest, SeedsCoverEveryFocusMethod) {
     ASSERT_TRUE(Run.hasValue());
     for (const TraceEvent &Event : Run->TheTrace.events())
       if (Event.Kind == EventKind::ClientCall &&
-          Event.ClassName == E.ClassName)
-        Invoked.insert(Event.Method);
+          Event.className() == E.ClassName)
+        Invoked.insert(Event.method());
   }
   for (const MethodInfo &M : Focus->Methods) {
     // Constructors may be exercised indirectly (C1 builds wrappers through

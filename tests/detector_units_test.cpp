@@ -14,9 +14,17 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace narada;
 
 namespace {
+
+/// Events only point at names; the test keeps them alive here.
+const std::string *intern(const std::string &Name) {
+  static std::set<std::string> Names;
+  return &*Names.insert(Name).first;
+}
 
 /// A tiny event-stream builder over one fake object universe.
 class Stream {
@@ -31,8 +39,8 @@ public:
     TraceEvent E = base(EventKind::ReadField, T);
     E.Obj = Obj;
     E.FieldIndex = Field;
-    E.Field = "f" + std::to_string(Field);
-    E.ClassName = "C";
+    E.Field = intern("f" + std::to_string(Field));
+    E.ClassName = intern("C");
     Events.push_back(E);
     return *this;
   }
@@ -40,8 +48,8 @@ public:
     TraceEvent E = base(EventKind::WriteField, T);
     E.Obj = Obj;
     E.FieldIndex = Field;
-    E.Field = "f" + std::to_string(Field);
-    E.ClassName = "C";
+    E.Field = intern("f" + std::to_string(Field));
+    E.ClassName = intern("C");
     Events.push_back(E);
     return *this;
   }

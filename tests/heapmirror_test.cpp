@@ -8,15 +8,23 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace narada;
 
 namespace {
+
+/// Events only point at names; the test keeps them alive here.
+const std::string *intern(const std::string &Name) {
+  static std::set<std::string> Names;
+  return &*Names.insert(Name).first;
+}
 
 TraceEvent alloc(ObjectId Obj, const std::string &ClassName) {
   TraceEvent E;
   E.Kind = EventKind::Alloc;
   E.Obj = Obj;
-  E.ClassName = ClassName;
+  E.ClassName = intern(ClassName);
   return E;
 }
 
@@ -24,7 +32,7 @@ TraceEvent write(ObjectId Obj, const std::string &Field, Value V) {
   TraceEvent E;
   E.Kind = EventKind::WriteField;
   E.Obj = Obj;
-  E.Field = Field;
+  E.Field = intern(Field);
   E.Val = V;
   return E;
 }
@@ -148,7 +156,7 @@ TEST(HeapMirrorTest, LateSeenObjectsGetClassFromWrite) {
   HeapMirror M;
   M.apply(write(9, "f", Value::makeInt(1)));
   TraceEvent W = write(9, "f", Value::makeInt(2));
-  W.ClassName = "Late";
+  W.ClassName = intern("Late");
   M.apply(W);
   EXPECT_TRUE(M.knows(9));
 }

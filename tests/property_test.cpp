@@ -130,7 +130,7 @@ TEST_P(SeedSweep, SynchronizedCounterIsExact) {
   ASSERT_TRUE(Run.hasValue());
   int64_t Final = -1;
   for (const TraceEvent &E : Run->TheTrace.events())
-    if (E.Kind == EventKind::WriteField && E.Field == "n")
+    if (E.Kind == EventKind::WriteField && E.field() == "n")
       Final = E.Val.asInt();
   EXPECT_EQ(Final, 6) << "seed " << GetParam();
 }

@@ -9,18 +9,26 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 using namespace narada;
 
 namespace {
+
+/// Events only point at names; the test keeps them alive here.
+const std::string *intern(const std::string &Name) {
+  static std::set<std::string> Names;
+  return &*Names.insert(Name).first;
+}
 
 TraceEvent makeAccess(EventKind Kind, ObjectId Obj, const std::string &Field,
                       uint64_t Label) {
   TraceEvent E;
   E.Kind = Kind;
   E.Obj = Obj;
-  E.Field = Field;
+  E.Field = intern(Field);
   E.Label = Label;
-  E.ClassName = "C";
+  E.ClassName = intern("C");
   return E;
 }
 
@@ -140,9 +148,9 @@ TEST(TraceTest, SequentialTraceEventOrdering) {
   int CallIdx = -1, WriteIdx = -1, EndIdx = -1;
   const auto &Events = Run->TheTrace.events();
   for (int I = 0; I < static_cast<int>(Events.size()); ++I) {
-    if (Events[I].Kind == EventKind::ClientCall && Events[I].Method == "set")
+    if (Events[I].Kind == EventKind::ClientCall && Events[I].method() == "set")
       CallIdx = I;
-    if (Events[I].Kind == EventKind::WriteField && Events[I].Field == "n")
+    if (Events[I].Kind == EventKind::WriteField && Events[I].field() == "n")
       WriteIdx = I;
     if (Events[I].Kind == EventKind::ClientCallEnd)
       EndIdx = I;

@@ -29,7 +29,7 @@ TestRun runOk(const IRModule &M, const std::string &Name,
 const TraceEvent *lastWrite(const Trace &T, const std::string &Field) {
   const TraceEvent *Out = nullptr;
   for (const TraceEvent &E : T.events())
-    if (E.Kind == EventKind::WriteField && E.Field == Field)
+    if (E.Kind == EventKind::WriteField && E.field() == Field)
       Out = &E;
   return Out;
 }
@@ -91,7 +91,7 @@ TEST(VMTest, IfElseBranches) {
   auto Run = runOk(*P.Module, "t");
   std::vector<int64_t> Writes;
   for (const TraceEvent &E : Run.TheTrace.events())
-    if (E.Kind == EventKind::WriteField && E.Field == "r")
+    if (E.Kind == EventKind::WriteField && E.field() == "r")
       Writes.push_back(E.Val.asInt());
   ASSERT_EQ(Writes.size(), 3u);
   EXPECT_EQ(Writes[0], -1);
@@ -245,8 +245,8 @@ TEST(VMTest, ClientCallEventsAtLibraryBoundary) {
   // Only client->library transitions: set and go (library->library poke is
   // not a client call).
   ASSERT_EQ(Calls.size(), 2u);
-  EXPECT_EQ(Calls[0]->Method, "set");
-  EXPECT_EQ(Calls[1]->Method, "go");
+  EXPECT_EQ(Calls[0]->method(), "set");
+  EXPECT_EQ(Calls[1]->method(), "go");
   EXPECT_EQ(Run.TheTrace.eventsOfKind(EventKind::ClientCallEnd).size(), 2u);
 }
 
