@@ -366,6 +366,11 @@ int cmdDetect(CliArgs &Args, const std::string &Source,
       // compared byte for byte.
       for (const RaceReport &Rep : D.Detected)
         std::printf("  replayed: %s\n", Rep.str().c_str());
+    } else if (D.Quarantined && D.Races.empty()) {
+      // Quarantined before any confirmation ran: its phase-1 reports
+      // still count in the detected total, so list them.
+      for (const RaceReport &Rep : D.Detected)
+        std::printf("  unconfirmed: %s\n", Rep.str().c_str());
     }
     // Witness files are emitted one per unique detected key, in sorted
     // key order (detect/Detection.cpp), so index i of WitnessFiles names

@@ -102,6 +102,9 @@ void executeHardFault(Mode M) {
   case Mode::Crash:
     std::abort();
   case Mode::Segv:
+    // Die by the signal itself, as a real wild write would: a sanitizer's
+    // SEGV handler would otherwise catch it and exit with a status code.
+    std::signal(SIGSEGV, SIG_DFL);
     std::raise(SIGSEGV);
     std::abort(); // Backstop, should SIGSEGV ever be blocked.
   case Mode::Hang:

@@ -14,7 +14,6 @@
 #include "support/StringUtils.h"
 #include "synth/ParallelDriver.h"
 #include "synth/SeedNormalizer.h"
-#include "synth/TestSynthesizer.h"
 
 using namespace narada;
 
@@ -45,27 +44,24 @@ std::string SkippedPair::str() const {
   return Out;
 }
 
-Result<NaradaResult>
-narada::runNarada(std::string_view LibrarySource,
-                  const std::vector<std::string> &SeedNames,
-                  const NaradaOptions &Options) {
+Result<NaradaFrontHalf>
+narada::runFrontHalf(std::string_view LibrarySource,
+                     const std::vector<std::string> &SeedNames,
+                     const NaradaOptions &Options, NaradaStageTimes &Stages) {
   obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  obs::Span PipelineSpan("pipeline");
-  Metrics.counter("pipeline.runs").inc();
-
-  NaradaResult Out;
+  NaradaFrontHalf Out;
 
   // Pass 1: compile the library + original seeds, then normalize the seeds
-  // so collectObjects is a syntactic prefix inline.
-  std::string NormalizedSource;
-  Result<CompiledProgram> Normalized = [&]() -> Result<CompiledProgram> {
-    obs::Span FrontendSpan("frontend", &Out.Stages.FrontendSeconds);
+  // so collectObjects is a syntactic prefix inline, recompile, and index
+  // the normalized seeds for synthesis.
+  {
+    obs::Span FrontendSpan("frontend", &Stages.FrontendSeconds);
     Result<CompiledProgram> Original = compileProgram(LibrarySource);
     if (!Original)
-      return Original;
+      return Original.error();
 
     for (const auto &Class : Original->Ast->Classes)
-      NormalizedSource += printClass(*Class) + "\n";
+      Out.NormalizedSource += printClass(*Class) + "\n";
     for (const std::string &SeedName : SeedNames) {
       const TestDecl *Seed = Original->Ast->findTest(SeedName);
       if (!Seed)
@@ -75,21 +71,28 @@ narada::runNarada(std::string_view LibrarySource,
           normalizeSeed(*Seed, *Original->Info);
       if (!Norm)
         return Norm.error();
-      NormalizedSource += printTest(**Norm) + "\n";
+      Out.NormalizedSource += printTest(**Norm) + "\n";
     }
 
-    Result<CompiledProgram> Recompiled = compileProgram(NormalizedSource);
+    Result<CompiledProgram> Recompiled = compileProgram(Out.NormalizedSource);
     if (!Recompiled)
       return Error("internal: normalized seeds failed to recompile: " +
                    Recompiled.error().str());
-    return Recompiled;
-  }();
-  if (!Normalized)
-    return Normalized.error();
+    Out.Program = Recompiled.take();
+
+    std::vector<const TestDecl *> Seeds;
+    for (const std::string &SeedName : SeedNames)
+      Seeds.push_back(Out.Program.Ast->findTest(SeedName));
+    Result<SeedRegistry> Registry =
+        SeedRegistry::build(Seeds, *Out.Program.Info);
+    if (!Registry)
+      return Registry.error();
+    Out.Registry = Registry.take();
+  }
 
   // Stage 1: execute the sequential seeds and analyze their traces.
   {
-    obs::Span AnalyzeSpan("analyze", &Out.Stages.AnalysisSeconds);
+    obs::Span AnalyzeSpan("analyze", &Stages.AnalysisSeconds);
     const PipelineCaches *Caches = Options.Caches;
     for (const std::string &SeedName : SeedNames) {
       if (Caches && Caches->LookupSeedAnalysis)
@@ -97,7 +100,7 @@ narada::runNarada(std::string_view LibrarySource,
           Out.Analysis.merge(*Hit);
           continue;
         }
-      Result<TestRun> Run = runTestSequential(*Normalized->Module, SeedName);
+      Result<TestRun> Run = runTestSequential(*Out.Program.Module, SeedName);
       if (!Run)
         return Run.error();
       if (Run->Result.Faulted)
@@ -105,7 +108,7 @@ narada::runNarada(std::string_view LibrarySource,
                                   SeedName.c_str(),
                                   Run->Result.FaultMessages[0].c_str()));
       Metrics.counter("analysis.seeds_executed").inc();
-      AnalysisResult One = analyzeTrace(Run->TheTrace, *Normalized->Info);
+      AnalysisResult One = analyzeTrace(Run->TheTrace, *Out.Program.Info);
       if (Caches && Caches->StoreSeedAnalysis)
         Caches->StoreSeedAnalysis(SeedName, One);
       Out.Analysis.merge(One);
@@ -121,18 +124,18 @@ narada::runNarada(std::string_view LibrarySource,
   // the lowered module (same lowering the detectors run on, so static
   // labels line up with dynamic ones).
   if (Options.StaticRank) {
-    obs::Span StaticSpan("staticrace", &Out.Stages.StaticRaceSeconds);
+    obs::Span StaticSpan("staticrace", &Stages.StaticRaceSeconds);
     Out.Static = std::make_shared<const staticrace::ModuleSummary>(
         Options.Caches && Options.Caches->Summarize
-            ? Options.Caches->Summarize(*Normalized->Module)
-            : staticrace::summarizeModule(*Normalized->Module));
+            ? Options.Caches->Summarize(*Out.Program.Module)
+            : staticrace::summarizeModule(*Out.Program.Module));
     NARADA_LOG_INFO("staticrace: %zu method summaries",
                     Out.Static->Methods.size());
   }
 
   // Stage 2a: candidate racy pairs.
   {
-    obs::Span PairGenSpan("pairgen", &Out.Stages.PairGenSeconds);
+    obs::Span PairGenSpan("pairgen", &Stages.PairGenSeconds);
     PairGenOptions PairOptions;
     PairOptions.FocusClass = Options.FocusClass;
     PairOptions.Static = Out.Static.get();
@@ -144,42 +147,49 @@ narada::runNarada(std::string_view LibrarySource,
                     Options.FocusClass.empty() ? "" : " for class ",
                     Options.FocusClass.c_str());
   }
+  return Out;
+}
+
+Result<NaradaResult>
+narada::runNarada(std::string_view LibrarySource,
+                  const std::vector<std::string> &SeedNames,
+                  const NaradaOptions &Options) {
+  obs::Span PipelineSpan("pipeline");
+  obs::MetricsRegistry::global().counter("pipeline.runs").inc();
+
+  NaradaResult Out;
+  Result<NaradaFrontHalf> Front =
+      runFrontHalf(LibrarySource, SeedNames, Options, Out.Stages);
+  if (!Front)
+    return Front.error();
 
   // Stage 2b + 3: contexts and tests, fanned across pairs by the parallel
   // driver (Options.Jobs workers; byte-identical output for every count).
+  // Under --isolate the units run in worker subprocesses, which rebuild
+  // this same front half from the original source + seed names.
   std::string SynthesizedSource;
   {
     obs::Span SynthSpan("synth", &Out.Stages.SynthesisSeconds);
-    std::vector<const TestDecl *> Seeds;
-    for (const std::string &SeedName : SeedNames)
-      Seeds.push_back(Normalized->Ast->findTest(SeedName));
-    Result<SeedRegistry> Registry =
-        SeedRegistry::build(Seeds, *Normalized->Info);
-    if (!Registry)
-      return Registry.error();
-
-    // Under --isolate the stage re-dispatches each unit to worker
-    // subprocesses, which rebuild this same pipeline state from the
-    // original source + seed names (all stages up to here are
-    // deterministic, so worker-side pairs match ours index for index).
-    SynthIsolateContext Iso;
-    Iso.Isolate = Options.Isolate;
-    Iso.LibrarySource = std::string(LibrarySource);
-    Iso.SeedNames = SeedNames;
+    SynthIsolateContext Iso{Options.Isolate, std::string(LibrarySource),
+                            SeedNames};
     SynthStageOutput Stage = runSynthesisStage(
-        Out.Analysis, *Normalized->Info, *Registry, Out.Pairs, Options,
-        Options.Isolate.Enabled ? &Iso : nullptr);
+        Front->Analysis, *Front->Program.Info, Front->Registry, Front->Pairs,
+        Options, Options.Isolate.Enabled ? &Iso : nullptr);
     Out.Tests = std::move(Stage.Tests);
     Out.Skipped = std::move(Stage.Skipped);
     SynthesizedSource = std::move(Stage.SynthesizedSource);
     NARADA_LOG_INFO("synth: %zu tests from %zu pairs (%zu skipped)",
-                    Out.Tests.size(), Out.Pairs.size(), Out.Skipped.size());
+                    Out.Tests.size(), Front->Pairs.size(),
+                    Out.Skipped.size());
   }
+  Out.Analysis = std::move(Front->Analysis);
+  Out.Pairs = std::move(Front->Pairs);
+  Out.Static = std::move(Front->Static);
 
   // Final pass: compile library + seeds + synthesized tests together.
   {
     obs::Span RecompileSpan("recompile", &Out.Stages.RecompileSeconds);
-    Out.FinalSource = NormalizedSource + "\n" + SynthesizedSource;
+    Out.FinalSource = Front->NormalizedSource + "\n" + SynthesizedSource;
     Result<CompiledProgram> Final = compileProgram(Out.FinalSource);
     if (!Final)
       return Error("internal: synthesized tests failed to compile: " +

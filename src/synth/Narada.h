@@ -22,6 +22,7 @@
 #include "synth/ContextDeriver.h"
 #include "synth/PairGenerator.h"
 #include "synth/RacyPair.h"
+#include "synth/TestSynthesizer.h"
 
 #include <functional>
 #include <memory>
@@ -177,6 +178,29 @@ struct NaradaResult {
   std::string FinalSource;
   NaradaStageTimes Stages;
 };
+
+/// The pipeline's front half, everything before context derivation:
+/// the normalized program, its seed registry, the seed analysis, the
+/// optional static summaries and the candidate pairs.
+struct NaradaFrontHalf {
+  std::string NormalizedSource; ///< Normalized library + seeds, printed.
+  CompiledProgram Program;      ///< NormalizedSource, compiled.
+  SeedRegistry Registry;        ///< Points into Program's AST.
+  AnalysisResult Analysis;
+  std::shared_ptr<const staticrace::ModuleSummary> Static;
+  std::vector<RacyPair> Pairs;
+};
+
+/// Compiles \p LibrarySource, normalizes the seeds named in \p SeedNames
+/// and recompiles, runs and analyzes the seeds, summarizes statically
+/// (Options.StaticRank) and generates candidate pairs, timing each stage
+/// into \p Stages.  Deterministic in (source, seeds, options): runNarada
+/// and every --isolate synthesis worker call it, so a worker's pair table
+/// matches the supervisor's index for index.
+Result<NaradaFrontHalf> runFrontHalf(std::string_view LibrarySource,
+                                     const std::vector<std::string> &SeedNames,
+                                     const NaradaOptions &Options,
+                                     NaradaStageTimes &Stages);
 
 /// Runs the full pipeline on \p LibrarySource using the tests named in
 /// \p SeedNames as the sequential seed suite.

@@ -18,6 +18,7 @@
 #include "synth/SynthWorker.h"
 
 #include <cstring>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 
@@ -25,12 +26,11 @@ using namespace narada;
 
 namespace {
 
-/// Maps a synthesizer failure onto a skip category.  The synthesizer's
-/// message families are part of its contract (tests assert on them), so
-/// prefix matching here is the lightest classification that keeps Error
-/// a plain message type.
-SkipReason classifySkip(const Error &E) {
-  const std::string &Message = E.message();
+/// Maps a synthesizer failure message onto a skip category.  The
+/// synthesizer's message families are part of its contract (tests assert
+/// on them), so prefix matching here is the lightest classification that
+/// keeps Error a plain message type.
+SkipReason classifySkip(const std::string &Message) {
   if (startsWith(Message, "no provider for") ||
       startsWith(Message, "no seed provides"))
     return SkipReason::NoSeedProvider;
@@ -49,41 +49,6 @@ void countSkip(SkipReason Reason) {
   R.counter(std::string("synth.pairs_skipped.") + skipReasonId(Reason))
       .inc();
 }
-
-/// Per-pair state filled by the parallel phases, merged serially.
-struct PairSlot {
-  SharingPlan Plan;
-  std::string Shape;
-  bool Attempted = false;
-  std::optional<Result<std::unique_ptr<TestDecl>>> Attempt;
-  /// Set when this pair's derivation/synthesis task threw: the pair is
-  /// committed as an internal_fault skip and never re-attempted (the fault
-  /// is assumed deterministic, like every other per-pair outcome).
-  bool Faulted = false;
-  std::string FaultMessage;
-};
-
-/// Marks \p Slot faulted with the message of \p E.  The shape becomes a
-/// per-pair sentinel no real shape can collide with, so a faulted lead
-/// never absorbs healthy pairs of its (unknown) shape.
-void markFaulted(PairSlot &Slot, size_t PairIndex, std::exception_ptr E) {
-  Slot.Faulted = true;
-  Slot.FaultMessage = describeException(E);
-  Slot.Shape = formatString("<internal-fault>#%zu", PairIndex);
-}
-
-/// Per-worker pipeline instances: stage objects are cheap wrappers over
-/// the shared read-only databases, so giving each worker its own keeps
-/// them trivially race-free.
-struct WorkerState {
-  WorkerState(const AnalysisResult &Analysis, const ProgramInfo &Info,
-              const SeedRegistry &Registry, DerivationMemo *Memo)
-      : Deriver(Analysis, Info), Synth(Registry, Info) {
-    Deriver.setMemo(Memo);
-  }
-  ContextDeriver Deriver;
-  TestSynthesizer Synth;
-};
 
 } // namespace
 
@@ -159,106 +124,244 @@ narada::planCommit(const std::vector<std::string> &Shapes,
   return Out;
 }
 
+void narada::PairSlot::fault(size_t PairIndex, SkipReason Reason,
+                     std::string Message) {
+  Faulted = true;
+  FaultReason = Reason;
+  FaultMessage = std::move(Message);
+  Shape = formatString("<internal-fault>#%zu", PairIndex);
+}
+
+void narada::synthesizeIntoSlot(TestSynthesizer &Synth, const RacyPair &Pair,
+                                const SharingPlan &Plan, PairSlot &Slot) {
+  Result<std::unique_ptr<TestDecl>> Attempt =
+      Synth.synthesize(Pair, Plan, SynthPlaceholderName);
+  Slot.Attempted = true;
+  Slot.AttemptOk = Attempt.hasValue();
+  if (Attempt) {
+    Slot.Source = printTest(**Attempt);
+    Slot.Complete = Plan.Complete;
+    Slot.SharedClass = Plan.SharedClassName;
+  } else {
+    Slot.ErrMessage = Attempt.error().message();
+    Slot.ErrStr = Attempt.error().str();
+  }
+}
+
 namespace {
 
-/// Per-pair state of the isolated stage: what unit replies (or crash
-/// classifications) established, mirroring PairSlot without the
-/// in-process Plan/Attempt objects (those live in the workers).
-struct IsoSlot {
-  std::string Shape;
-  bool Faulted = false;
-  SkipReason FaultReason = SkipReason::InternalFault;
-  std::string FaultMessage;
-  bool Attempted = false;
-  bool AttemptOk = false;
-  std::string Source; ///< Placeholder-named test source (AttemptOk).
-  bool Complete = false;
-  std::string SharedClass;
-  std::string ErrMessage; ///< Synthesizer error message (classification).
-  std::string ErrStr;     ///< Full error text (skip record).
+enum class UnitOp { Derive, Synth };
+
+/// Where the stage's derive and synth units run, filling their slots.  A
+/// unit that crashes marks its slot faulted instead of unwinding the
+/// stage, so every runner degrades the same way.
+class UnitRunner {
+public:
+  UnitRunner() = default;
+  UnitRunner(const UnitRunner &) = delete;
+  UnitRunner &operator=(const UnitRunner &) = delete;
+  virtual ~UnitRunner() = default;
+  /// Runs \p Op for every pair index in \p Units.
+  virtual void run(UnitOp Op, const std::vector<size_t> &Units) = 0;
+  /// Runs the synth unit of pair \p I, which the commit walk needs now.
+  virtual void runOne(size_t I) { run(UnitOp::Synth, {I}); }
 };
 
-void markIsoFaulted(IsoSlot &Slot, size_t PairIndex, SkipReason Reason,
-                    std::string Message) {
-  Slot.Faulted = true;
-  Slot.FaultReason = Reason;
-  Slot.FaultMessage = std::move(Message);
-  Slot.Shape = formatString("<internal-fault>#%zu", PairIndex);
-}
-
-/// Applies one unit outcome to its slot: hard crashes become WorkerCrash
-/// faults carrying the classification; a fault= record (contained soft
-/// failure in the worker) mirrors the in-process internal_fault path;
-/// otherwise \p Apply sees the parsed reply.  Metric deltas merge either
-/// way — the worker did the work even when it failed softly.
-template <typename ApplyFn>
-void applyOutcome(IsoSlot &Slot, size_t PairIndex,
-                  const pool::UnitOutcome &O, ApplyFn Apply) {
-  obs::observePoolUnitMicros(O.Micros);
-  if (!O.Ok) {
-    markIsoFaulted(Slot, PairIndex, SkipReason::WorkerCrash,
-                   pool::describeCrash(O));
-    return;
+/// Per-worker pipeline instances: stage objects are cheap wrappers over
+/// the shared read-only databases, so giving each worker its own keeps
+/// them trivially race-free.
+struct WorkerState {
+  WorkerState(const AnalysisResult &Analysis, const ProgramInfo &Info,
+              const SeedRegistry &Registry, DerivationMemo *Memo)
+      : Deriver(Analysis, Info), Synth(Registry, Info) {
+    Deriver.setMemo(Memo);
   }
-  wire::RecordReader Reply(O.Payload);
-  obs::mergeMetricsDelta(Reply);
-  if (std::optional<std::string> Fault = Reply.get("fault")) {
-    markIsoFaulted(Slot, PairIndex, SkipReason::InternalFault, *Fault);
-    return;
-  }
-  Apply(Reply);
-}
+  ContextDeriver Deriver;
+  TestSynthesizer Synth;
+};
 
-/// The --isolate synthesis stage: phases A/B run as unit requests against
-/// a crash-contained worker pool, then the identical commit walk replays
-/// the serial bookkeeping.  Clean runs are byte-identical to the
-/// in-process stage; hard-faulted units degrade to worker_crash skips.
-SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
-                                           const NaradaOptions &Options,
-                                           const SynthIsolateContext &Iso) {
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  const size_t N = Pairs.size();
-  const unsigned WorkerCount =
-      resolveJobs(Options.Jobs == 0 ? 0 : Options.Jobs);
-  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(WorkerCount));
-
-  pool::ProcessPool Pool(Iso.Isolate.poolOptions(
-      WorkerCount,
-      synthworker::encodeSetup(Iso, Options, obs::Span::currentPath())));
-
-  std::vector<IsoSlot> Slots(N);
-
-  // Phase A: every pair's shape, derived out of process.
-  {
-    std::vector<std::string> Units;
-    Units.reserve(N);
-    for (size_t I = 0; I < N; ++I)
-      Units.push_back(synthworker::encodeUnit("derive", I, Pairs[I].key()));
-    std::vector<pool::UnitOutcome> Outcomes = Pool.run(Units);
-    for (size_t I = 0; I < N; ++I)
-      applyOutcome(Slots[I], I, Outcomes[I],
-                   [&](const wire::RecordReader &Reply) {
-                     Slots[I].Shape = Reply.getOr("shape", "");
-                     if (Slots[I].Shape.empty())
-                       markIsoFaulted(Slots[I], I, SkipReason::WorkerCrash,
-                                      "hard fault: protocol-error: derive "
-                                      "reply carried no shape");
-                   });
+/// Runs units in this process: inline at --jobs 1 (serial span layout, no
+/// pool thread), stolen from the ThreadPool's deques otherwise.  A pair's
+/// plan stays here between its derive and synth units.
+class InProcessUnits final : public UnitRunner {
+public:
+  InProcessUnits(const AnalysisResult &Analysis, const ProgramInfo &Info,
+                 const SeedRegistry &Registry,
+                 const std::vector<RacyPair> &Pairs,
+                 const NaradaOptions &Options, unsigned Jobs,
+                 std::vector<PairSlot> &Slots)
+      : Pairs(Pairs), Options(Options), Slots(Slots), Plans(Pairs.size()),
+        Parent{obs::Span::currentPath()} {
+    // The serving layer may supply a memo pre-warmed by earlier runs; memo
+    // contents only short-circuit deterministic derivations, so a warm
+    // memo is a pure speedup with byte-identical output.
+    DerivationMemo *Memo = Options.Caches && Options.Caches->SharedMemo
+                               ? Options.Caches->SharedMemo
+                               : &LocalMemo;
+    // Worker spans root under the submitting thread's innermost span
+    // (normally "pipeline.synth"); precomputed names keep the hot loop
+    // free of formatting.
+    for (unsigned W = 0; W < Jobs; ++W) {
+      Workers.push_back(
+          std::make_unique<WorkerState>(Analysis, Info, Registry, Memo));
+      WorkerNames.push_back(formatString("worker%u", W));
+    }
+    if (Jobs > 1)
+      Pool.emplace(Jobs);
   }
 
-  // Phase B: one synthesis unit per first-of-shape lead.
-  auto ApplySynthReply = [](IsoSlot &Slot, const wire::RecordReader &Reply) {
+  void run(UnitOp Op, const std::vector<size_t> &Units) override {
+    if (!Pool) {
+      for (size_t I : Units)
+        runContained(Op, I);
+      return;
+    }
+    for (ThreadPool::TaskFailure &F :
+         Pool->parallelFor(Units.size(), [&](size_t K, unsigned W) {
+           obs::Span WorkerSpan(WorkerNames[W], Parent);
+           runUnit(Op, Units[K], W);
+         }))
+      Slots[Units[F.Item]].fault(Units[F.Item], SkipReason::InternalFault,
+                                 describeException(F.Error));
+  }
+
+  /// On the calling thread, between the pool's batches.
+  void runOne(size_t I) override { runContained(UnitOp::Synth, I); }
+
+private:
+  void runContained(UnitOp Op, size_t I) {
+    try {
+      runUnit(Op, I, 0);
+    } catch (...) {
+      Slots[I].fault(I, SkipReason::InternalFault,
+                     describeException(std::current_exception()));
+    }
+  }
+
+  void runUnit(UnitOp Op, size_t I, unsigned W) {
+    fault::ScopedUnit Unit(I);
+    obs::TraceScope Scope("pair", I);
+    if (Op == UnitOp::Derive) {
+      fault::probe("synth.pair_task");
+      {
+        obs::Span DeriveSpan("derive");
+        Plans[I] = deriveSynthPlan(Workers[W]->Deriver, Pairs[I], I, Options);
+      }
+      Slots[I].Shape = synthShapeKey(Pairs[I], Plans[I]);
+      return;
+    }
+    obs::Span SynthesizeSpan("synthesize");
+    synthesizeIntoSlot(Workers[W]->Synth, Pairs[I], Plans[I], Slots[I]);
+  }
+
+  const std::vector<RacyPair> &Pairs;
+  const NaradaOptions &Options;
+  std::vector<PairSlot> &Slots;
+  std::vector<SharingPlan> Plans;
+  DerivationMemo LocalMemo;
+  std::vector<std::unique_ptr<WorkerState>> Workers;
+  std::vector<std::string> WorkerNames;
+  obs::SpanParent Parent;
+  std::optional<ThreadPool> Pool;
+};
+
+/// Runs units as requests to crash-contained worker subprocesses
+/// (--isolate).  A hard crash becomes a worker_crash fault carrying the
+/// pool's classification; a fault= reply (a soft failure the worker
+/// contained) becomes an internal_fault, as in-process.
+class IsolatedUnits final : public UnitRunner {
+public:
+  IsolatedUnits(const SynthIsolateContext &Iso,
+                const std::vector<RacyPair> &Pairs,
+                const NaradaOptions &Options, unsigned Jobs,
+                std::vector<PairSlot> &Slots)
+      : Pairs(Pairs), Slots(Slots),
+        Pool(Iso.Isolate.poolOptions(
+            Jobs, synthworker::encodeSetup(Iso, Options,
+                                           obs::Span::currentPath()))) {}
+  ~IsolatedUnits() override { obs::publishPoolStats(Pool.stats()); }
+
+  void run(UnitOp Op, const std::vector<size_t> &Units) override {
+    std::vector<std::string> Requests;
+    Requests.reserve(Units.size());
+    for (size_t I : Units)
+      Requests.push_back(synthworker::encodeUnit(
+          Op == UnitOp::Derive ? "derive" : "synth", I, Pairs[I].key()));
+    std::vector<pool::UnitOutcome> Outcomes = Pool.run(Requests);
+    for (size_t K = 0; K < Units.size(); ++K)
+      apply(Op, Units[K], Outcomes[K]);
+  }
+
+private:
+  /// Applies one unit outcome to its slot.  Metric deltas merge even when
+  /// the unit failed softly: the worker did the work.
+  void apply(UnitOp Op, size_t I, const pool::UnitOutcome &O) {
+    PairSlot &Slot = Slots[I];
+    obs::observePoolUnitMicros(O.Micros);
+    if (!O.Ok) {
+      Slot.fault(I, SkipReason::WorkerCrash, pool::describeCrash(O));
+      return;
+    }
+    wire::RecordReader Reply(O.Payload);
+    obs::mergeMetricsDelta(Reply);
+    if (std::optional<std::string> Fault = Reply.get("fault")) {
+      Slot.fault(I, SkipReason::InternalFault, *Fault);
+      return;
+    }
+    if (Op == UnitOp::Derive) {
+      Slot.Shape = Reply.getOr("shape", "");
+      if (Slot.Shape.empty())
+        Slot.fault(I, SkipReason::WorkerCrash,
+                   "hard fault: protocol-error: derive reply carried no "
+                   "shape");
+      return;
+    }
     Slot.Attempted = true;
     Slot.AttemptOk = Reply.getBool("ok");
-    if (Slot.AttemptOk) {
-      Slot.Source = Reply.getOr("source", "");
-      Slot.Complete = Reply.getBool("complete");
-      Slot.SharedClass = Reply.getOr("shared_class", "");
-    } else {
-      Slot.ErrMessage = Reply.getOr("err_message", "");
-      Slot.ErrStr = Reply.getOr("err_str", Slot.ErrMessage);
-    }
-  };
+    Slot.Source = Reply.getOr("source", "");
+    Slot.Complete = Reply.getBool("complete");
+    Slot.SharedClass = Reply.getOr("shared_class", "");
+    Slot.ErrMessage = Reply.getOr("err_message", "");
+    Slot.ErrStr = Reply.getOr("err_str", "");
+  }
+
+  const std::vector<RacyPair> &Pairs;
+  std::vector<PairSlot> &Slots;
+  pool::ProcessPool Pool;
+};
+
+} // namespace
+
+SynthStageOutput
+narada::runSynthesisStage(const AnalysisResult &Analysis,
+                          const ProgramInfo &Info,
+                          const SeedRegistry &Registry,
+                          const std::vector<RacyPair> &Pairs,
+                          const NaradaOptions &Options,
+                          const SynthIsolateContext *Iso) {
+  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
+  const size_t N = Pairs.size();
+  const unsigned Jobs = resolveJobs(Options.Jobs);
+  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(Jobs));
+
+  std::vector<PairSlot> Slots(N);
+  std::unique_ptr<UnitRunner> Units;
+  if (Iso && Iso->Isolate.Enabled)
+    Units = std::make_unique<IsolatedUnits>(*Iso, Pairs, Options, Jobs, Slots);
+  else
+    Units = std::make_unique<InProcessUnits>(Analysis, Info, Registry, Pairs,
+                                             Options, Jobs, Slots);
+
+  // Phase A: every pair's sharing plan and shape key.
+  std::vector<size_t> AllPairs(N);
+  std::iota(AllPairs.begin(), AllPairs.end(), 0);
+  Units->run(UnitOp::Derive, AllPairs);
+
+  // Phase B: synthesize each shape's first pair.  Later pairs of a shape
+  // only need their own attempt when the first one failed (rare) — the
+  // commit walk triggers those on demand.  Faulted pairs carry sentinel
+  // shapes, so each stays a lead of its own and never absorbs healthy
+  // pairs.
   std::vector<size_t> Leads;
   {
     std::unordered_map<std::string, size_t> FirstOfShape;
@@ -267,41 +370,17 @@ SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
           FirstOfShape.try_emplace(Slots[I].Shape, I).second)
         Leads.push_back(I);
   }
-  {
-    std::vector<std::string> Units;
-    Units.reserve(Leads.size());
-    for (size_t I : Leads)
-      Units.push_back(synthworker::encodeUnit("synth", I, Pairs[I].key()));
-    std::vector<pool::UnitOutcome> Outcomes = Pool.run(Units);
-    for (size_t K = 0; K < Leads.size(); ++K)
-      applyOutcome(Slots[Leads[K]], Leads[K], Outcomes[K],
-                   [&](const wire::RecordReader &Reply) {
-                     ApplySynthReply(Slots[Leads[K]], Reply);
-                   });
-  }
+  Units->run(UnitOp::Synth, Leads);
 
-  // Commit: the identical serial walk; re-attempts for non-lead pairs of
-  // failed shapes go to the pool one unit at a time, exactly when the
-  // serial loop would have attempted them.
+  // Commit: replay the serial bookkeeping in canonical pair order.
   std::vector<std::string> Shapes;
   Shapes.reserve(N);
-  for (const IsoSlot &Slot : Slots)
+  for (const PairSlot &Slot : Slots)
     Shapes.push_back(Slot.Shape);
-
   auto SynthesisSucceeds = [&](size_t I) {
-    IsoSlot &Slot = Slots[I];
-    if (Slot.Faulted)
-      return false;
-    if (!Slot.Attempted) {
-      std::vector<pool::UnitOutcome> One = Pool.run(
-          {synthworker::encodeUnit("synth", I, Pairs[I].key())});
-      applyOutcome(Slot, I, One[0], [&](const wire::RecordReader &Reply) {
-        ApplySynthReply(Slot, Reply);
-      });
-      if (Slot.Faulted)
-        return false;
-    }
-    return Slot.AttemptOk;
+    if (!Slots[I].Faulted && !Slots[I].Attempted)
+      Units->runOne(I);
+    return !Slots[I].Faulted && Slots[I].AttemptOk;
   };
   std::vector<CommitDecision> Decisions =
       planCommit(Shapes, SynthesisSucceeds, Options.MaxTests);
@@ -309,15 +388,17 @@ SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
   SynthStageOutput Out;
   for (size_t I = 0; I < N; ++I) {
     const RacyPair &Pair = Pairs[I];
-    IsoSlot &Slot = Slots[I];
+    const PairSlot &Slot = Slots[I];
     if (Slot.Faulted) {
+      // Contained crash: the pair degrades to a structured skip no matter
+      // what the commit plan would have decided (its sentinel shape can
+      // only yield FailSkip or BudgetSkip anyway).
       NARADA_LOG_WARN("pair %s %s, contained: %s", Pair.key().c_str(),
                       Slot.FaultReason == SkipReason::WorkerCrash
                           ? "hard-faulted its worker"
                           : "crashed during synthesis",
                       Slot.FaultMessage.c_str());
-      Out.Skipped.push_back(
-          {Pair.key(), Slot.FaultReason, Slot.FaultMessage});
+      Out.Skipped.push_back({Pair.key(), Slot.FaultReason, Slot.FaultMessage});
       countSkip(Slot.FaultReason);
       continue;
     }
@@ -335,7 +416,7 @@ SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
       countSkip(SkipReason::TestBudget);
       break;
     case CommitDecision::Kind::FailSkip: {
-      SkipReason Reason = classifySkip(Error(Slot.ErrMessage));
+      SkipReason Reason = classifySkip(Slot.ErrMessage);
       NARADA_LOG_DEBUG("skip %s (%s): %s", Pair.key().c_str(),
                        skipReasonId(Reason), Slot.ErrStr.c_str());
       Out.Skipped.push_back({Pair.key(), Reason, Slot.ErrStr});
@@ -346,7 +427,7 @@ SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
       SynthesizedTestInfo TestInfo;
       TestInfo.Name = formatString("%s_%03zu", Options.TestNamePrefix.c_str(),
                                    Out.Tests.size());
-      // The worker printed the test under the placeholder; splice in the
+      // The unit printed the test under the placeholder; splice in the
       // final dense name the commit order just assigned.
       TestInfo.SourceText = Slot.Source;
       size_t At = TestInfo.SourceText.find(SynthPlaceholderName);
@@ -364,214 +445,6 @@ SynthStageOutput runIsolatedSynthesisStage(const std::vector<RacyPair> &Pairs,
       Out.Tests.push_back(std::move(TestInfo));
       Metrics.counter("synth.tests_synthesized").inc();
       if (!Slot.Complete)
-        Metrics.counter("synth.tests_partial_context").inc();
-      break;
-    }
-    }
-  }
-  obs::publishPoolStats(Pool.stats());
-  return Out;
-}
-
-} // namespace
-
-SynthStageOutput
-narada::runSynthesisStage(const AnalysisResult &Analysis,
-                          const ProgramInfo &Info,
-                          const SeedRegistry &Registry,
-                          const std::vector<RacyPair> &Pairs,
-                          const NaradaOptions &Options,
-                          const SynthIsolateContext *Iso) {
-  if (Iso && Iso->Isolate.Enabled)
-    return runIsolatedSynthesisStage(Pairs, Options, *Iso);
-  obs::MetricsRegistry &Metrics = obs::MetricsRegistry::global();
-  const size_t N = Pairs.size();
-  const unsigned Jobs = resolveJobs(Options.Jobs == 0 ? 0 : Options.Jobs);
-
-  // The serving layer may supply a memo pre-warmed by earlier runs; memo
-  // contents only short-circuit deterministic derivations, so a warm memo
-  // is a pure speedup with byte-identical output.
-  DerivationMemo LocalMemo;
-  DerivationMemo *Memo =
-      Options.Caches && Options.Caches->SharedMemo ? Options.Caches->SharedMemo
-                                                   : &LocalMemo;
-  std::vector<std::unique_ptr<WorkerState>> Workers;
-  const unsigned WorkerCount = Jobs > 1 ? Jobs : 1;
-  Workers.reserve(WorkerCount);
-  for (unsigned W = 0; W < WorkerCount; ++W)
-    Workers.push_back(
-        std::make_unique<WorkerState>(Analysis, Info, Registry, Memo));
-
-  std::vector<PairSlot> Slots(N);
-
-  // Worker spans root under the submitting thread's innermost span
-  // (normally "pipeline.synth"); precomputed names keep the hot loop free
-  // of formatting.
-  obs::SpanParent Parent{obs::Span::currentPath()};
-  std::vector<std::string> WorkerNames;
-  for (unsigned W = 0; W < WorkerCount; ++W)
-    WorkerNames.push_back(formatString("worker%u", W));
-
-  std::optional<ThreadPool> Pool;
-  if (Jobs > 1)
-    Pool.emplace(Jobs);
-  Metrics.gauge("synth.jobs").set(static_cast<int64_t>(WorkerCount));
-
-  // Runs Body over [0, Count) item indices: inline at --jobs 1 (serial
-  // span layout, zero thread overhead), stolen-from-deques otherwise.
-  // Either way a throwing Body is captured per-item and returned instead
-  // of unwinding the stage, so serial and parallel runs degrade the same
-  // way.
-  auto ForEach = [&](size_t Count,
-                     const std::function<void(size_t, unsigned)> &Body)
-      -> std::vector<ThreadPool::TaskFailure> {
-    if (!Pool) {
-      std::vector<ThreadPool::TaskFailure> Failures;
-      for (size_t I = 0; I < Count; ++I) {
-        try {
-          Body(I, 0);
-        } catch (...) {
-          Failures.push_back({I, std::current_exception()});
-        }
-      }
-      return Failures;
-    }
-    return Pool->parallelFor(Count, [&](size_t I, unsigned W) {
-      obs::Span WorkerSpan(WorkerNames[W], Parent);
-      Body(I, W);
-    });
-  };
-
-  // Phase A: derive every pair's sharing plan and shape key.
-  std::vector<ThreadPool::TaskFailure> DeriveFailures =
-      ForEach(N, [&](size_t I, unsigned W) {
-    WorkerState &WS = *Workers[W];
-    PairSlot &Slot = Slots[I];
-    const RacyPair &Pair = Pairs[I];
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("pair", I);
-    fault::probe("synth.pair_task");
-    {
-      obs::Span DeriveSpan("derive");
-      Slot.Plan = deriveSynthPlan(WS.Deriver, Pair, I, Options);
-    }
-    Slot.Shape = synthShapeKey(Pair, Slot.Plan);
-  });
-  for (ThreadPool::TaskFailure &F : DeriveFailures)
-    markFaulted(Slots[F.Item], F.Item, std::move(F.Error));
-
-  // Phase B: synthesize each shape's first pair under a placeholder name.
-  // Later pairs of a shape only need their own attempt when the first one
-  // failed (rare) — the commit walk triggers those on demand.  Faulted
-  // pairs carry sentinel shapes, so each stays a lead of its own and never
-  // absorbs healthy pairs.
-  std::vector<size_t> Leads;
-  {
-    std::unordered_map<std::string, size_t> FirstOfShape;
-    for (size_t I = 0; I < N; ++I)
-      if (!Slots[I].Faulted &&
-          FirstOfShape.try_emplace(Slots[I].Shape, I).second)
-        Leads.push_back(I);
-  }
-  std::vector<ThreadPool::TaskFailure> SynthFailures =
-      ForEach(Leads.size(), [&](size_t LeadIdx, unsigned W) {
-    size_t I = Leads[LeadIdx];
-    PairSlot &Slot = Slots[I];
-    fault::ScopedUnit Unit(I);
-    obs::TraceScope Scope("pair", I);
-    obs::Span SynthesizeSpan("synthesize");
-    Slot.Attempt.emplace(
-        Workers[W]->Synth.synthesize(Pairs[I], Slot.Plan, SynthPlaceholderName));
-    Slot.Attempted = true;
-  });
-  for (ThreadPool::TaskFailure &F : SynthFailures) {
-    size_t I = Leads[F.Item];
-    markFaulted(Slots[I], I, std::move(F.Error));
-  }
-
-  // Commit: replay the serial bookkeeping in canonical pair order.
-  std::vector<std::string> Shapes;
-  Shapes.reserve(N);
-  for (const PairSlot &Slot : Slots)
-    Shapes.push_back(Slot.Shape);
-
-  auto SynthesisSucceeds = [&](size_t I) {
-    PairSlot &Slot = Slots[I];
-    if (Slot.Faulted)
-      return false;
-    if (!Slot.Attempted) {
-      try {
-        fault::ScopedUnit Unit(I);
-        obs::TraceScope Scope("pair", I);
-        obs::Span SynthesizeSpan("synthesize");
-        Slot.Attempt.emplace(Workers[0]->Synth.synthesize(
-            Pairs[I], Slot.Plan, SynthPlaceholderName));
-        Slot.Attempted = true;
-      } catch (...) {
-        markFaulted(Slot, I, std::current_exception());
-        return false;
-      }
-    }
-    return Slot.Attempt->hasValue();
-  };
-  std::vector<CommitDecision> Decisions =
-      planCommit(Shapes, SynthesisSucceeds, Options.MaxTests);
-
-  SynthStageOutput Out;
-  for (size_t I = 0; I < N; ++I) {
-    const RacyPair &Pair = Pairs[I];
-    PairSlot &Slot = Slots[I];
-    if (Slot.Faulted) {
-      // Contained crash: the pair degrades to a structured skip no matter
-      // what the commit plan would have decided (its sentinel shape can
-      // only yield FailSkip or BudgetSkip anyway).
-      NARADA_LOG_WARN("pair %s crashed during synthesis, contained: %s",
-                      Pair.key().c_str(), Slot.FaultMessage.c_str());
-      Out.Skipped.push_back(
-          {Pair.key(), SkipReason::InternalFault, Slot.FaultMessage});
-      countSkip(SkipReason::InternalFault);
-      continue;
-    }
-    switch (Decisions[I].K) {
-    case CommitDecision::Kind::Join: {
-      SynthesizedTestInfo &Test = Out.Tests[Decisions[I].TestIndex];
-      Test.CoveredPairKeys.push_back(Pair.key());
-      Test.CandidateLabels.emplace_back(Pair.First.AccessLabel,
-                                        Pair.Second.AccessLabel);
-      Metrics.counter("synth.pairs_deduped").inc();
-      break;
-    }
-    case CommitDecision::Kind::BudgetSkip:
-      Out.Skipped.push_back({Pair.key(), SkipReason::TestBudget, ""});
-      countSkip(SkipReason::TestBudget);
-      break;
-    case CommitDecision::Kind::FailSkip: {
-      const Error &E = Slot.Attempt->error();
-      SkipReason Reason = classifySkip(E);
-      NARADA_LOG_DEBUG("skip %s (%s): %s", Pair.key().c_str(),
-                       skipReasonId(Reason), E.str().c_str());
-      Out.Skipped.push_back({Pair.key(), Reason, E.str()});
-      countSkip(Reason);
-      break;
-    }
-    case CommitDecision::Kind::NewTest: {
-      std::unique_ptr<TestDecl> Test = Slot.Attempt->take();
-      SynthesizedTestInfo TestInfo;
-      TestInfo.Name = formatString("%s_%03zu", Options.TestNamePrefix.c_str(),
-                                   Out.Tests.size());
-      Test->Name = TestInfo.Name;
-      TestInfo.SourceText = printTest(*Test);
-      TestInfo.Representative = Pair;
-      TestInfo.CoveredPairKeys.push_back(Pair.key());
-      TestInfo.ContextComplete = Slot.Plan.Complete;
-      TestInfo.SharedClassName = Slot.Plan.SharedClassName;
-      TestInfo.Field = Pair.Field;
-      TestInfo.CandidateLabels.emplace_back(Pair.First.AccessLabel,
-                                            Pair.Second.AccessLabel);
-      Out.SynthesizedSource += TestInfo.SourceText + "\n";
-      Out.Tests.push_back(std::move(TestInfo));
-      Metrics.counter("synth.tests_synthesized").inc();
-      if (!Slot.Plan.Complete)
         Metrics.counter("synth.tests_partial_context").inc();
       break;
     }

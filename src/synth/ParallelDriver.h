@@ -14,17 +14,20 @@
 ///       Randomized setter selection stays reproducible because each pair
 ///       gets a private RNG split from DerivationSeed by pair *index*, not
 ///       a shared sequential stream.
-///   phase B (parallel): synthesize one test per first-of-shape pair,
-///       under a placeholder name (final names depend on commit order).
+///   phase B (parallel): synthesize and print one test per first-of-shape
+///       pair, under a placeholder name (final names depend on commit
+///       order).
 ///   commit (serial):   walk pairs in canonical order, dedup by shape,
-///       apply the test budget, assign final dense names, and classify
+///       apply the test budget, splice in final dense names, and classify
 ///       failures — exactly the serial loop's semantics, driven by
 ///       planCommit() below.
 ///
-/// Workers hold their own ContextDeriver/TestSynthesizer instances and
-/// share one DerivationMemo; per-worker obs::Spans
-/// ("pipeline.synth.worker<K>.derive") keep the phase tree honest across
-/// threads.
+/// The phases' units run inline at --jobs 1, on a ThreadPool otherwise,
+/// or, under --isolate, as ProcessPool units in worker subprocesses; that
+/// is all isolation changes.  In-process workers hold their own
+/// ContextDeriver/TestSynthesizer instances and share one DerivationMemo;
+/// per-worker obs::Spans ("pipeline.synth.worker<K>.derive") keep the
+/// phase tree honest across threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,6 +89,37 @@ inline constexpr const char *SynthPlaceholderName = "narada_uncommitted";
 SharingPlan deriveSynthPlan(ContextDeriver &Deriver, const RacyPair &Pair,
                             size_t PairIndex, const NaradaOptions &Options);
 
+/// One pair's outcome in the synthesis stage, filled by the pair's derive
+/// and synth units wherever they ran (in-process or in an --isolate
+/// worker) and read by the one commit walk.
+struct PairSlot {
+  std::string Shape; ///< synthShapeKey, or a per-pair sentinel if Faulted.
+  /// Set when one of the pair's units crashed: the pair is committed as
+  /// a FaultReason skip and never re-attempted (the fault is assumed
+  /// deterministic, like every other per-pair outcome).
+  bool Faulted = false;
+  SkipReason FaultReason = SkipReason::InternalFault;
+  std::string FaultMessage;
+  bool Attempted = false; ///< A synth unit ran to completion.
+  bool AttemptOk = false; ///< ...and produced a test.
+  std::string Source;     ///< The test, printed as SynthPlaceholderName.
+  bool Complete = false;  ///< The plan's context was fully derived.
+  std::string SharedClass;
+  std::string ErrMessage; ///< Synthesizer error message (classification).
+  std::string ErrStr;     ///< Full error text (skip record).
+
+  /// Marks the pair faulted.  The shape becomes a per-pair sentinel no
+  /// real shape can collide with, so a faulted lead never absorbs healthy
+  /// pairs of its (possibly unknown) shape.
+  void fault(size_t PairIndex, SkipReason Reason, std::string Message);
+};
+
+/// The synth unit's body: synthesizes \p Pair under \p Plan as
+/// SynthPlaceholderName and records the outcome in \p Slot.  Span-free,
+/// like deriveSynthPlan.
+void synthesizeIntoSlot(TestSynthesizer &Synth, const RacyPair &Pair,
+                        const SharingPlan &Plan, PairSlot &Slot);
+
 /// Everything the synthesis stage produces; spliced into NaradaResult.
 struct SynthStageOutput {
   std::vector<SynthesizedTestInfo> Tests;
@@ -95,9 +129,9 @@ struct SynthStageOutput {
   std::string SynthesizedSource;
 };
 
-/// What an isolated (--isolate) synthesis stage needs to re-dispatch its
-/// units into worker subprocesses: the worker rebuilds the pipeline state
-/// from the same inputs (deterministically), so only the original source
+/// What an isolated (--isolate) synthesis stage needs to run its units in
+/// worker subprocesses: each worker rebuilds the front half from the same
+/// inputs (runFrontHalf is deterministic), so only the original source
 /// and seed names travel, not the derived structures.
 struct SynthIsolateContext {
   pool::IsolateOptions Isolate;
@@ -108,9 +142,10 @@ struct SynthIsolateContext {
 /// Runs stages 2b+3 over \p Pairs with Options.Jobs workers (1 = inline on
 /// the calling thread, 0 = one per hardware thread).  The output is
 /// byte-identical for every job count given the same inputs and
-/// DerivationSeed.  With \p Iso non-null, units run in crash-contained
-/// worker subprocesses instead of threads (clean runs byte-identical to
-/// in-process; hard-faulted units become worker_crash skips).
+/// DerivationSeed.  With \p Iso non-null the derive and synth units run
+/// in crash-contained worker subprocesses instead of threads; everything
+/// else is the same stage (clean runs are byte-identical to in-process,
+/// and a hard-faulted unit becomes a worker_crash skip).
 SynthStageOutput runSynthesisStage(const AnalysisResult &Analysis,
                                    const ProgramInfo &Info,
                                    const SeedRegistry &Registry,

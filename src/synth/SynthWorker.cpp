@@ -6,20 +6,16 @@
 
 #include "synth/SynthWorker.h"
 
-#include "analysis/AccessAnalysis.h"
-#include "lang/ASTPrinter.h"
+#include "obs/Log.h"
 #include "obs/Span.h"
 #include "obs/Trace.h"
-#include "staticrace/LocksetAnalysis.h"
 #include "support/Bundle.h"
 #include "support/FaultInjection.h"
 #include "support/StringUtils.h"
-#include "synth/SeedNormalizer.h"
-#include "synth/TestSynthesizer.h"
 
+#include <algorithm>
 #include <new>
 #include <optional>
-#include <unordered_map>
 
 using namespace narada;
 using namespace narada::synthworker;
@@ -65,27 +61,19 @@ std::string synthworker::encodeUnit(const char *Op, size_t Unit,
 }
 
 /// Everything Service rebuilds from the setup record.  Heap-allocated and
-/// never moved: Deriver/Synth hold references into the earlier members.
+/// never moved: Deriver/Synth hold references into Front.
 struct Service::State {
   NaradaOptions Options;
   std::string SpanParentPath;
-  CompiledProgram Program; ///< Normalized library + seeds.
-  AnalysisResult Analysis;
-  std::shared_ptr<const staticrace::ModuleSummary> Static;
-  std::vector<RacyPair> Pairs;
-  std::optional<SeedRegistry> Registry;
+  NaradaFrontHalf Front;
   std::optional<ContextDeriver> Deriver; ///< Memo-less (no threads here).
   std::optional<TestSynthesizer> Synth;
-  /// Plans computed by derive units, consumed by synth units.  A fresh
-  /// worker (post-respawn) re-derives on miss — derivation is
-  /// deterministic per pair index, so the plan is the same either way.
-  std::unordered_map<size_t, SharingPlan> PlanCache;
 };
 
 Service::Service() : S(std::make_unique<State>()) {}
 Service::~Service() = default;
 
-size_t Service::pairCount() const { return S->Pairs.size(); }
+size_t Service::pairCount() const { return S->Front.Pairs.size(); }
 
 Result<std::unique_ptr<Service>>
 Service::create(const wire::RecordReader &Setup) {
@@ -98,65 +86,21 @@ Service::create(const wire::RecordReader &Setup) {
   Result<wire::ModuleBundle> Bundle = wire::readBundle(Setup, "synth setup");
   if (!Bundle)
     return Bundle.error();
-  const std::string &Source = Bundle->Source;
-  std::vector<std::string> &SeedNames = Bundle->Seeds;
 
-  // The front half of runNarada, replayed without spans or logs: every
-  // stage below is deterministic in (source, seeds, options), so the
-  // resulting pair table matches the supervisor's.  Setup-time metrics
-  // are discarded by the worker loop (the supervisor ran these stages
-  // itself), so none of this double-counts.
-  Result<CompiledProgram> Original = compileProgram(Source);
-  if (!Original)
-    return Original.error();
-  std::string NormalizedSource;
-  for (const auto &Class : Original->Ast->Classes)
-    NormalizedSource += printClass(*Class) + "\n";
-  for (const std::string &SeedName : SeedNames) {
-    const TestDecl *Seed = Original->Ast->findTest(SeedName);
-    if (!Seed)
-      return Error(formatString("no seed test named '%s'", SeedName.c_str()));
-    Result<std::unique_ptr<TestDecl>> Norm =
-        normalizeSeed(*Seed, *Original->Info);
-    if (!Norm)
-      return Norm.error();
-    NormalizedSource += printTest(**Norm) + "\n";
-  }
-  Result<CompiledProgram> Recompiled = compileProgram(NormalizedSource);
-  if (!Recompiled)
-    return Error("normalized seeds failed to recompile: " +
-                 Recompiled.error().str());
-  S.Program = Recompiled.take();
-
-  for (const std::string &SeedName : SeedNames) {
-    Result<TestRun> Run = runTestSequential(*S.Program.Module, SeedName);
-    if (!Run)
-      return Run.error();
-    if (Run->Result.Faulted)
-      return Error(formatString("seed test '%s' faulted", SeedName.c_str()));
-    S.Analysis.merge(analyzeTrace(Run->TheTrace, *S.Program.Info));
-  }
-
-  if (S.Options.StaticRank)
-    S.Static = std::make_shared<const staticrace::ModuleSummary>(
-        staticrace::summarizeModule(*S.Program.Module));
-
-  PairGenOptions PairOptions;
-  PairOptions.FocusClass = S.Options.FocusClass;
-  PairOptions.Static = S.Static.get();
-  PairOptions.StaticRank = S.Options.StaticRank;
-  S.Pairs = generatePairs(S.Analysis, PairOptions);
-
-  std::vector<const TestDecl *> Seeds;
-  for (const std::string &SeedName : SeedNames)
-    Seeds.push_back(S.Program.Ast->findTest(SeedName));
-  Result<SeedRegistry> Registry = SeedRegistry::build(Seeds, *S.Program.Info);
-  if (!Registry)
-    return Registry.error();
-  S.Registry.emplace(Registry.take());
-
-  S.Deriver.emplace(S.Analysis, *S.Program.Info);
-  S.Synth.emplace(*S.Registry, *S.Program.Info);
+  // The supervisor's own front half, rebuilt.  Its metrics and spans are
+  // discarded (the worker loop resets the registry before every unit) and
+  // its info logs muted, since the supervisor already logged the same run.
+  NaradaStageTimes Unused;
+  const obs::LogLevel Level = obs::logLevel();
+  obs::setLogLevel(std::min(Level, obs::LogLevel::Warn));
+  Result<NaradaFrontHalf> Front =
+      runFrontHalf(Bundle->Source, Bundle->Seeds, S.Options, Unused);
+  obs::setLogLevel(Level);
+  if (!Front)
+    return Front.error();
+  S.Front = Front.take();
+  S.Deriver.emplace(S.Front.Analysis, *S.Front.Program.Info);
+  S.Synth.emplace(S.Front.Registry, *S.Front.Program.Info);
   return Out;
 }
 
@@ -168,16 +112,17 @@ void Service::runUnit(const wire::RecordReader &Request,
   Reply.add("op", Op);
   Reply.add("unit", I);
 
-  if (I >= S->Pairs.size() || S->Pairs[I].key() != Key) {
+  const std::vector<RacyPair> &Pairs = S->Front.Pairs;
+  if (I >= Pairs.size() || Pairs[I].key() != Key) {
     Reply.add("fault",
               formatString("unit %llu (%s) does not match this worker's "
                            "pair table (%zu pairs)",
                            static_cast<unsigned long long>(I), Key.c_str(),
-                           S->Pairs.size()));
+                           Pairs.size()));
     return;
   }
 
-  const RacyPair &Pair = S->Pairs[I];
+  const RacyPair &Pair = Pairs[I];
   try {
     fault::ScopedUnit Unit(I);
     obs::TraceScope Scope("pair", I);
@@ -191,32 +136,25 @@ void Service::runUnit(const wire::RecordReader &Request,
         Plan = deriveSynthPlan(*S->Deriver, Pair, I, S->Options);
       }
       Reply.add("shape", synthShapeKey(Pair, Plan));
-      Reply.addBool("complete", Plan.Complete);
-      S->PlanCache.insert_or_assign(I, std::move(Plan));
       return;
     }
 
     if (Op == "synth") {
-      auto It = S->PlanCache.find(I);
-      if (It == S->PlanCache.end())
-        It = S->PlanCache
-                 .emplace(I, deriveSynthPlan(*S->Deriver, Pair, I, S->Options))
-                 .first;
-      const SharingPlan &Plan = It->second;
-      Result<std::unique_ptr<TestDecl>> Attempt = [&] {
+      // Every synth unit derives its own plan (deterministic per pair
+      // index), so the reply does not depend on which worker served the
+      // pair's derive unit.
+      SharingPlan Plan = deriveSynthPlan(*S->Deriver, Pair, I, S->Options);
+      PairSlot Slot;
+      {
         obs::Span SynthesizeSpan("synthesize", Parent);
-        return S->Synth->synthesize(Pair, Plan, SynthPlaceholderName);
-      }();
-      if (Attempt) {
-        Reply.addBool("ok", true);
-        Reply.add("source", printTest(**Attempt));
-        Reply.addBool("complete", Plan.Complete);
-        Reply.add("shared_class", Plan.SharedClassName);
-      } else {
-        Reply.addBool("ok", false);
-        Reply.add("err_message", Attempt.error().message());
-        Reply.add("err_str", Attempt.error().str());
+        synthesizeIntoSlot(*S->Synth, Pair, Plan, Slot);
       }
+      Reply.addBool("ok", Slot.AttemptOk);
+      Reply.add("source", Slot.Source);
+      Reply.addBool("complete", Slot.Complete);
+      Reply.add("shared_class", Slot.SharedClass);
+      Reply.add("err_message", Slot.ErrMessage);
+      Reply.add("err_str", Slot.ErrStr);
       return;
     }
 

@@ -12,14 +12,17 @@
 ///    seed names, and every option that shapes pair generation or
 ///    derivation) and per-unit requests;
 ///  - the worker side (Service, hosted by `narada-cli worker`) rebuilds
-///    the front half of the pipeline from that setup — every stage up to
-///    pair generation is deterministic, so the worker's pair table matches
-///    the supervisor's index for index, verified per unit via pair_key —
-///    and then serves `derive` and `synth` unit requests.
+///    the front half of the pipeline from that setup with the same
+///    runFrontHalf that runNarada calls — it is deterministic, so the
+///    worker's pair table matches the supervisor's index for index,
+///    verified per unit via pair_key — and then serves `derive` and
+///    `synth` unit requests.  A synth unit derives its pair's plan itself,
+///    so its reply never depends on which worker ran the derive unit.
 ///
-/// Unit replies carry either the result records (shape= for derive;
-/// ok=/source=/complete=/shared_class= or ok=0/err_message=/err_str= for
-/// synth) or a fault= record for contained soft failures.  Hard faults
+/// Unit replies carry either the fields of the pair's PairSlot (shape=
+/// for derive; ok=, source=, complete=, shared_class=, err_message= and
+/// err_str= for synth) or a fault= record for contained soft failures.  The supervisor applies them to its slots and runs the
+/// stage's one commit walk, exactly as for in-process units.  Hard faults
 /// (SIGSEGV, abort, hang, OOM kill) never produce a reply at all — that is
 /// the point of running out of process.
 ///
@@ -67,8 +70,7 @@ class Service {
 public:
   ~Service();
 
-  /// Rebuilds the pipeline front half (compile, normalize, analyze,
-  /// static pre-analysis, pair generation, seed registry) from \p Setup.
+  /// Rebuilds the pipeline front half (runFrontHalf) from \p Setup.
   static Result<std::unique_ptr<Service>> create(
       const wire::RecordReader &Setup);
 

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <csignal>
 #include <cstdlib>
 #include <string>
@@ -142,9 +143,8 @@ pool::IsolateOptions isolateOptions() {
   return Iso;
 }
 
-NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs,
-                      bool Isolate) {
-  NaradaOptions Options;
+NaradaResult runClass(const CorpusEntry &Entry, unsigned Jobs, bool Isolate,
+                      NaradaOptions Options = {}) {
   Options.FocusClass = Entry.ClassName;
   Options.Jobs = Jobs;
   if (Isolate)
@@ -164,18 +164,74 @@ void expectIdenticalResults(const NaradaResult &A, const NaradaResult &B) {
         << A.Tests[I].Name;
     EXPECT_EQ(A.Tests[I].CoveredPairKeys, B.Tests[I].CoveredPairKeys)
         << A.Tests[I].Name;
+    EXPECT_EQ(A.Tests[I].ContextComplete, B.Tests[I].ContextComplete)
+        << A.Tests[I].Name;
+    EXPECT_EQ(A.Tests[I].SharedClassName, B.Tests[I].SharedClassName)
+        << A.Tests[I].Name;
+    EXPECT_EQ(A.Tests[I].CandidateLabels, B.Tests[I].CandidateLabels)
+        << A.Tests[I].Name;
   }
   ASSERT_EQ(A.Skipped.size(), B.Skipped.size());
   for (size_t I = 0; I < A.Skipped.size(); ++I)
     EXPECT_EQ(A.Skipped[I].str(), B.Skipped[I].str()) << "skip " << I;
+  EXPECT_EQ(A.FinalSource, B.FinalSource);
 }
 
 TEST_F(ProcessPoolTest, IsolatedSynthesisIsByteIdenticalAtJobs1And4) {
-  const CorpusEntry &Entry = *findCorpusEntry("C5");
-  NaradaResult InProcess = runClass(Entry, 1, /*Isolate=*/false);
-  ASSERT_FALSE(InProcess.Tests.empty());
-  expectIdenticalResults(InProcess, runClass(Entry, 1, /*Isolate=*/true));
-  expectIdenticalResults(InProcess, runClass(Entry, 4, /*Isolate=*/true));
+  // Every corpus class under default options, plus a test budget (the
+  // BudgetSkip path), the no-derivation ablation, and a contained throw
+  // in pair 0's synthesis: pair 0 leads its shape, so the commit walk
+  // re-attempts the shape's next pair on demand.  (No corpus class makes
+  // the synthesizer fail outright, even under the ablation, so FailSkip
+  // commits are covered by property_test's planCommit sweep instead.)
+  struct Case {
+    std::string Id;
+    NaradaOptions Options;
+    const char *Inject = nullptr;
+  };
+  std::vector<Case> Cases;
+  for (const CorpusEntry &Entry : corpus())
+    Cases.push_back({Entry.Id, {}});
+  Cases.push_back({"C1", {}});
+  Cases.back().Options.MaxTests = 4;
+  Cases.push_back({"C1", {}});
+  Cases.back().Options.EnableContextDerivation = false;
+  Cases.push_back({"C1", {}, "synth.synthesize:0"});
+
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Id + " max_tests=" + std::to_string(C.Options.MaxTests) +
+                 " derivation=" +
+                 std::to_string(C.Options.EnableContextDerivation) +
+                 " inject=" + (C.Inject ? C.Inject : "none"));
+    const CorpusEntry &Entry = *findCorpusEntry(C.Id);
+    size_t CleanTests = 0;
+    if (C.Inject) {
+      CleanTests = runClass(Entry, 1, /*Isolate=*/false).Tests.size();
+      ASSERT_TRUE(fault::armFromSpec(C.Inject));
+      ::setenv("NARADA_FAULT_INJECT", C.Inject, 1);
+    }
+    NaradaResult InProcess = runClass(Entry, 1, /*Isolate=*/false, C.Options);
+    ASSERT_FALSE(InProcess.Tests.empty());
+    if (C.Options.MaxTests) {
+      EXPECT_TRUE(std::any_of(InProcess.Skipped.begin(),
+                              InProcess.Skipped.end(),
+                              [](const SkippedPair &S) {
+                                return S.Reason == SkipReason::TestBudget;
+                              }));
+    }
+    if (C.Inject) {
+      // Only pair 0 is lost; its shape's test survives the re-attempt.
+      ASSERT_EQ(InProcess.Skipped.size(), 1u);
+      EXPECT_EQ(InProcess.Skipped[0].Reason, SkipReason::InternalFault);
+      EXPECT_EQ(InProcess.Tests.size(), CleanTests);
+    }
+    expectIdenticalResults(InProcess,
+                           runClass(Entry, 1, /*Isolate=*/true, C.Options));
+    expectIdenticalResults(InProcess,
+                           runClass(Entry, 4, /*Isolate=*/true, C.Options));
+    ::unsetenv("NARADA_FAULT_INJECT");
+    fault::disarm();
+  }
 }
 
 /// Fast detect options so the isolated/in-process sweeps stay cheap; the

@@ -67,7 +67,9 @@ _VARIABLE_SEGMENTS = {"explore", "schedule", "witness", "staticrace", "pool",
 # when the static pre-analysis is toggled; drift in them is annotated
 # rather than left to look like an anomaly.  pool.* counters exist only
 # under --isolate, and synth.qmemo* differs there because worker
-# subprocesses derive without the shared derivation memo.  serve.* counters exist only for requests
+# subprocesses derive without the shared derivation memo; synth.derivations*
+# is higher there because every isolated synth unit re-derives its pair's
+# plan.  serve.* counters exist only for requests
 # executed by a narada-cli serve daemon, and their hit/miss split depends
 # on the daemon's cache temperature — a warm resubmit is byte-identical in
 # results but reports cache hits where the cold CLI run reports none.
